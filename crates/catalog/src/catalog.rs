@@ -20,22 +20,24 @@ struct Inner {
     /// Monotonic DDL version: bumped on every CREATE/DROP/ALTER (any
     /// change to table metadata that could invalidate a compiled plan).
     /// Statistics updates do NOT bump it — stale stats only affect plan
-    /// *quality*, never correctness, and auto-analyze after DML would
-    /// otherwise flush every plan cache on every insert.
+    /// *quality*, never correctness.
     version: u64,
-    /// Monotonic statistics version: bumped by [`Catalog::set_stats`]
-    /// (the ANALYZE path), so plan caches can re-optimize once better
-    /// cardinalities exist. The coarse insert-time refresh goes through
-    /// [`Catalog::refresh_stats_coarse`], which deliberately does NOT
-    /// bump it — otherwise every bulk insert would flush every cache.
+    /// Monotonic statistics version: bumped when the statistics a plan
+    /// would be costed against change other than by row-count drift —
+    /// by [`Catalog::set_stats`] (the ANALYZE path) installing something
+    /// different from what is there, and by a runtime feedback miss.
+    /// DML goes through [`Catalog::apply_row_deltas`], which keeps the
+    /// counts exact and deliberately does NOT bump it — otherwise every
+    /// write would flush every plan cache.
     stats_version: u64,
     /// Runtime cardinality feedback: per-table row counts *observed*
     /// during execution where the optimizer's estimate was off by more
     /// than [`FEEDBACK_MISS_FACTOR`]. [`Catalog::stats`] folds these over
     /// the stored statistics (scaling `row_count` and `part_rows`
     /// proportionally), so the next optimization sees the observed
-    /// cardinality; ANALYZE ([`Catalog::set_stats`]) supersedes and
-    /// clears them.
+    /// cardinality; later DML row deltas move the observation along with
+    /// the stored count, and ANALYZE ([`Catalog::set_stats`]) supersedes
+    /// and clears it.
     feedback: HashMap<TableOid, u64>,
 }
 
@@ -76,8 +78,8 @@ impl Catalog {
         self.inner.read().version
     }
 
-    /// Current statistics version: bumps whenever ANALYZE installs fresh
-    /// stats. Plan caches combine it with [`Catalog::version`] so cached
+    /// Current statistics version: bumps whenever ANALYZE installs
+    /// different stats or runtime feedback records a miss. Plan caches combine it with [`Catalog::version`] so cached
     /// plans re-optimize after stats change without DDL churn.
     pub fn stats_version(&self) -> u64 {
         self.inner.read().stats_version
@@ -169,6 +171,28 @@ impl Catalog {
                 g.part_owner.insert(leaf.oid, desc.oid);
             }
         }
+        // The rows of dropped leaves are gone and new leaves start empty:
+        // say so now, not at the next ANALYZE.
+        let g = &mut *g;
+        if let Some(stats) = g.stats.get_mut(&desc.oid) {
+            if !stats.part_rows.is_empty() {
+                let mut dropped = 0u64;
+                stats.part_rows.retain(|leaf, rows| {
+                    let kept = g.part_owner.get(leaf) == Some(&desc.oid);
+                    if !kept {
+                        dropped += *rows;
+                    }
+                    kept
+                });
+                for leaf in desc.partitioning.iter().flat_map(|t| t.leaves()) {
+                    stats.part_rows.entry(leaf.oid).or_insert(0);
+                }
+                stats.row_count = stats.row_count.saturating_sub(dropped);
+                if let Some(observed) = g.feedback.get_mut(&desc.oid) {
+                    *observed = observed.saturating_sub(dropped);
+                }
+            }
+        }
         g.tables.insert(desc.oid, Arc::clone(&desc));
         g.version += 1;
         Ok(desc)
@@ -234,34 +258,42 @@ impl Catalog {
         Ok(())
     }
 
-    /// Install full statistics (the ANALYZE path). Bumps the stats
-    /// version so plan caches drop plans optimized against the old
-    /// cardinalities, and clears any runtime feedback override — real
-    /// statistics supersede observed row counts.
-    pub fn set_stats(&self, oid: TableOid, stats: TableStats) {
+    /// Install full statistics (the ANALYZE path) and clear any runtime
+    /// feedback override — real statistics supersede observed row counts.
+    /// Bumps the stats version, so plan caches drop plans optimized
+    /// against the old cardinalities, exactly when what [`Catalog::stats`]
+    /// answers changes: re-installing what is already there is a no-op.
+    /// Returns whether it bumped.
+    pub fn set_stats(&self, oid: TableOid, stats: TableStats) -> bool {
         let mut g = self.inner.write();
+        let had_override = g.feedback.remove(&oid).is_some();
+        if !had_override && g.stats.get(&oid) == Some(&stats) {
+            return false;
+        }
         g.stats.insert(oid, stats);
-        g.feedback.remove(&oid);
         g.stats_version += 1;
+        true
     }
 
-    /// Coarse, cheap stats refresh on bulk insert: scales the row count
-    /// (total and per-partition deltas) without touching histograms and
-    /// WITHOUT bumping the stats version — row-count drift alone must not
-    /// flush plan caches on every insert.
-    pub fn refresh_stats_coarse(
-        &self,
-        oid: TableOid,
-        added_rows: u64,
-        part_deltas: &[(PartOid, u64)],
-    ) {
-        let mut g = self.inner.write();
+    /// Apply exact row-count changes from DML — one `(leaf, delta)` per
+    /// touched leaf, `None` standing for an unpartitioned table — to the
+    /// stored statistics and to a feedback override if one is in place.
+    /// Column statistics are left as the last ANALYZE wrote them, and the
+    /// stats version is NOT bumped: row-count drift alone must not flush
+    /// plan caches on every write (runtime feedback catches gross drift).
+    pub fn apply_row_deltas(&self, oid: TableOid, deltas: &[(Option<PartOid>, i64)]) {
+        let g = &mut *self.inner.write();
+        let total: i64 = deltas.iter().map(|(_, d)| d).sum();
         let stats = g.stats.entry(oid).or_insert_with(|| TableStats::new(0));
-        stats.row_count += added_rows;
-        if !stats.part_rows.is_empty() || !part_deltas.is_empty() {
-            for (p, n) in part_deltas {
-                *stats.part_rows.entry(*p).or_insert(0) += n;
+        stats.row_count = stats.row_count.saturating_add_signed(total);
+        for (part, delta) in deltas {
+            if let Some(p) = part {
+                let rows = stats.part_rows.entry(*p).or_insert(0);
+                *rows = rows.saturating_add_signed(*delta);
             }
+        }
+        if let Some(observed) = g.feedback.get_mut(&oid) {
+            *observed = observed.saturating_add_signed(total);
         }
     }
 
@@ -462,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_version_bumps_on_analyze_not_coarse_refresh() {
+    fn stats_version_bumps_on_analyze_not_row_deltas() {
         let cat = Catalog::new();
         let t = register_partitioned(&cat, "R", 2);
         let ddl_v = cat.version();
@@ -471,10 +503,46 @@ mod tests {
         assert!(cat.stats_version() > sv0, "ANALYZE stats must bump");
         assert_eq!(cat.version(), ddl_v, "stats must not bump the DDL version");
         let sv1 = cat.stats_version();
-        cat.refresh_stats_coarse(t.oid, 100, &[(PartOid(1000), 100)]);
-        assert_eq!(cat.stats_version(), sv1, "coarse refresh must NOT bump");
-        assert_eq!(cat.stats(t.oid).row_count, 600);
-        assert_eq!(cat.stats(t.oid).part_rows.get(&PartOid(1000)), Some(&100));
+        cat.apply_row_deltas(t.oid, &[(Some(PartOid(1000)), 100)]);
+        cat.apply_row_deltas(
+            t.oid,
+            &[(Some(PartOid(1000)), -30), (Some(PartOid(1001)), 5)],
+        );
+        assert_eq!(cat.stats_version(), sv1, "row deltas must NOT bump");
+        assert_eq!(cat.stats(t.oid).row_count, 575);
+        assert_eq!(cat.stats(t.oid).part_rows.get(&PartOid(1000)), Some(&70));
+        // Re-installing what is already there changes no planning input.
+        assert!(!cat.set_stats(t.oid, cat.stats(t.oid)));
+        assert_eq!(cat.stats_version(), sv1, "a no-op ANALYZE must NOT bump");
+        assert!(cat.set_stats(t.oid, TableStats::new(575)));
+        assert_eq!(cat.stats_version(), sv1 + 1);
+    }
+
+    #[test]
+    fn replace_table_drops_and_registers_leaf_counts() {
+        let cat = Catalog::new();
+        let t = register_partitioned(&cat, "R", 3);
+        let leaves = t.part_tree().unwrap().partition_expansion();
+        let deltas: Vec<_> = leaves.iter().map(|&l| (Some(l), 10)).collect();
+        cat.apply_row_deltas(t.oid, &deltas);
+        // Keep the first two leaves, add one new OID.
+        let added = cat.allocate_part_oids(1);
+        let tree = PartTree::with_leaf_oids(
+            t.part_tree().unwrap().levels().to_vec(),
+            vec![leaves[0], leaves[1], added],
+        )
+        .unwrap();
+        let sv = cat.stats_version();
+        cat.replace_table(TableDesc {
+            partitioning: Some(tree),
+            ..(*t).clone()
+        })
+        .unwrap();
+        let stats = cat.stats(t.oid);
+        assert_eq!(stats.row_count, 20, "the dropped leaf's rows are gone");
+        assert_eq!(stats.part_rows.get(&leaves[2]), None);
+        assert_eq!(stats.part_rows.get(&added), Some(&0));
+        assert_eq!(cat.stats_version(), sv, "DDL bumps its own half only");
     }
 
     #[test]
@@ -505,6 +573,12 @@ mod tests {
         // otherwise folded feedback would flush the cache every query.
         assert!(!cat.record_feedback(t.oid, 100, 11_000));
         assert_eq!(cat.stats_version(), sv + 1);
+
+        // Later DML moves the observation along with the stored count.
+        cat.apply_row_deltas(t.oid, &[(Some(PartOid(1000)), 500)]);
+        assert_eq!(cat.feedback_override(t.oid), Some(10_500));
+        assert_eq!(cat.stats(t.oid).row_count, 10_500);
+        assert_eq!(cat.stats_version(), sv + 1, "row deltas never bump");
 
         // ANALYZE supersedes: the override is cleared.
         cat.set_stats(t.oid, TableStats::new(10_000));

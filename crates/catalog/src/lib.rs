@@ -14,7 +14,7 @@
 //! * [`Catalog`] — the shared registry the binder, optimizers and executor
 //!   consult,
 //! * [`TableStats`] — row counts and per-column summaries for the cost
-//!   model.
+//!   model, merged from one bounded [`LeafSummary`] per leaf partition.
 
 pub mod builders;
 pub mod catalog;
@@ -25,5 +25,8 @@ pub mod table;
 pub use builders::{list_parts, monthly_range_parts, range_parts_equal_width};
 pub use catalog::Catalog;
 pub use partition::{LeafPart, PartTree, PartitionLevel, PartitionPiece};
-pub use stats::{ColumnStats, Histogram, HistogramBuilder, TableStats, HISTOGRAM_BUCKETS};
+pub use stats::{
+    ColumnStats, Histogram, LeafSummary, TableStats, ValueSample, HISTOGRAM_BUCKETS,
+    LEAF_SAMPLE_CAP, NDV_EXACT_CAP, TABLE_SAMPLE_CAP,
+};
 pub use table::{Distribution, TableDesc};

@@ -305,7 +305,7 @@ impl<'a> CardinalityEstimator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpp_catalog::{ColumnStats, HistogramBuilder, TableStats};
+    use mpp_catalog::{ColumnStats, Histogram, TableStats, ValueSample, TABLE_SAMPLE_CAP};
     use mpp_expr::ColRef;
 
     fn setup() -> (Catalog, ColumnBinding) {
@@ -407,11 +407,12 @@ mod tests {
     fn hist_setup() -> (Catalog, ColumnBinding) {
         let cat = Catalog::new();
         let t = TableOid(1);
-        let mut hb = HistogramBuilder::new();
+        let mut sample = ValueSample::new(TABLE_SAMPLE_CAP);
         for v in 0..1000i64 {
-            hb.add(v);
+            sample.add(v);
         }
-        let cs = ColumnStats::new(1000).with_histogram(hb.finish().unwrap());
+        let hist = Histogram::from_samples([&sample]).unwrap();
+        let cs = ColumnStats::new(1000).with_histogram(hist);
         cat.set_stats(t, TableStats::new(1000).with_column(0, cs));
         let mut b = ColumnBinding::new();
         b.bind(1, t, 0);

@@ -2442,7 +2442,8 @@ mod tests {
     /// unpartitioned with a histogram putting every b inside [0, 40).
     fn skewed_catalog() -> (Catalog, TableOid, TableOid) {
         use mpp_catalog::{
-            ColumnStats, HistogramBuilder, PartTree, PartitionLevel, PartitionPiece,
+            ColumnStats, Histogram, PartTree, PartitionLevel, PartitionPiece, ValueSample,
+            TABLE_SAMPLE_CAP,
         };
         use mpp_expr::interval::Interval;
         let cat = Catalog::new();
@@ -2490,9 +2491,9 @@ mod tests {
             partitioning: None,
         })
         .unwrap();
-        let mut hist = HistogramBuilder::new();
+        let mut sample = ValueSample::new(TABLE_SAMPLE_CAP);
         for v in 0..1000 {
-            hist.add(v % 40);
+            sample.add(v % 40);
         }
         cat.set_stats(
             s,
@@ -2500,7 +2501,7 @@ mod tests {
                 1,
                 ColumnStats::new(40)
                     .with_range(Datum::Int32(0), Datum::Int32(39))
-                    .with_histogram(hist.finish().unwrap()),
+                    .with_histogram(Histogram::from_samples([&sample]).unwrap()),
             ),
         );
         (cat, r, s)

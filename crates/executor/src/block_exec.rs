@@ -140,11 +140,13 @@ pub(crate) fn exec_block(
             }
             Some(child) => {
                 ctx.seg_stats(seg).selector_runs += 1;
-                let tree = storage.catalog().part_tree(*table)?;
+                // Borrowed, not `Catalog::part_tree`: that deep-clones the tree.
+                let desc = storage.catalog().table(*table)?;
+                let tree = desc.part_tree()?;
                 let chunks = exec_block(child, seg, storage, ctx)?;
                 ctx.mark_selector_ran(*part_scan_id, seg);
                 let child_cols = child.output_cols();
-                let mut sel = TupleSelector::prepare(&tree, part_keys, predicates, &child_cols)?;
+                let mut sel = TupleSelector::prepare(tree, part_keys, predicates, &child_cols)?;
                 let mut propagate =
                     |oids: Vec<mpp_common::PartOid>| ctx.propagate_parts(*part_scan_id, seg, oids);
                 let mut n = 0u64;

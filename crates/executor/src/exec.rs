@@ -429,7 +429,9 @@ pub(crate) fn exec(
             ..
         } => {
             ctx.seg_stats(seg).selector_runs += 1;
-            let tree = storage.catalog().part_tree(*table)?;
+            // Borrowed, not `Catalog::part_tree`: that deep-clones the tree.
+            let desc = storage.catalog().table(*table)?;
+            let tree = desc.part_tree()?;
             match child {
                 None => {
                     // Static selection: predicates reference only
@@ -454,7 +456,7 @@ pub(crate) fn exec(
                     ctx.mark_selector_ran(*part_scan_id, seg);
                     let child_cols = child.output_cols();
                     select_per_tuple(
-                        &tree,
+                        tree,
                         part_keys,
                         predicates,
                         &rows,
@@ -599,7 +601,9 @@ pub(crate) fn exec(
             // visits the node again the parameter is already published
             // and this is a no-op (as it is on every segment but 0).
             if seg == SegmentId(0) && !ctx.oid_param_published(*param) {
-                let tree = storage.catalog().part_tree(*table)?;
+                // Borrowed, not `Catalog::part_tree`: that deep-clones the tree.
+                let desc = storage.catalog().table(*table)?;
+                let tree = desc.part_tree()?;
                 // Routing a single key value is only the full partitioning
                 // function for single-level tables; the planner never
                 // emits gates for multi-level ones, so such a plan is
@@ -1315,7 +1319,10 @@ fn hash_agg(
     agg.finalize(aggs, seg)
 }
 
-/// Execute a DML plan (always the root).
+/// Execute a DML plan (always the root). Statistics follow the rows:
+/// `Storage::insert` folds what it appends into the leaf summaries and
+/// `Storage::overwrite` moves the counts, so nothing is re-analyzed here
+/// and the planning epoch does not move.
 fn exec_dml(plan: &PhysicalPlan, storage: &Storage, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
     match plan {
         PhysicalPlan::Insert { table, child } => {
@@ -1324,7 +1331,6 @@ fn exec_dml(plan: &PhysicalPlan, storage: &Storage, ctx: &ExecContext<'_>) -> Re
                 rows.extend(exec(child, seg, storage, ctx)?);
             }
             let n = storage.insert(*table, rows)?;
-            storage.analyze(*table)?; // auto-analyze keeps the optimizer honest
             Ok(vec![Row::new(vec![Datum::Int64(n as i64)])])
         }
         PhysicalPlan::Delete {
@@ -1335,7 +1341,6 @@ fn exec_dml(plan: &PhysicalPlan, storage: &Storage, ctx: &ExecContext<'_>) -> Re
             let rows = collect_target_rows(child, target_cols, storage, ctx)?;
             let n = rows.len();
             delete_rows(*table, rows, storage)?;
-            storage.analyze(*table)?;
             Ok(vec![Row::new(vec![Datum::Int64(n as i64)])])
         }
         PhysicalPlan::Update {
@@ -1378,7 +1383,6 @@ fn exec_dml(plan: &PhysicalPlan, storage: &Storage, ctx: &ExecContext<'_>) -> Re
             // Re-inserting routes updated tuples to their (possibly new)
             // partition and segment — cross-partition updates included.
             storage.insert(*table, new_rows)?;
-            storage.analyze(*table)?;
             Ok(vec![Row::new(vec![Datum::Int64(n as i64)])])
         }
         other => Err(Error::Execution(format!(

@@ -103,6 +103,20 @@ pub struct StreamOutcome {
 }
 
 impl StreamOutcome {
+    /// The collecting form of this outcome: `rows` is what the caller's
+    /// sink gathered. The statement's error, if it had one.
+    pub fn collected(self, rows: Vec<Row>) -> Result<QueryOutcome> {
+        self.result?;
+        Ok(QueryOutcome {
+            rows,
+            stats: self.stats,
+            plan: self
+                .plan
+                .expect("successful statement always carries a plan"),
+            cache: self.cache,
+        })
+    }
+
     /// An outcome for a statement that failed before execution started.
     pub fn failed(e: Error) -> StreamOutcome {
         StreamOutcome {
@@ -130,8 +144,8 @@ pub struct PreparedQuery {
     /// from the statistics *the plan was optimized against*. Runtime
     /// cardinality feedback compares these against the executor's
     /// `scan_rows` actuals — the current catalog can't serve that role,
-    /// because a coarse insert-time refresh updates it without
-    /// invalidating this plan.
+    /// because DML row deltas update it without invalidating this
+    /// plan.
     scan_estimates: Vec<(TableOid, u64)>,
 }
 
@@ -405,16 +419,8 @@ impl MppDb {
             chunk.append_to(&mut rows);
             Ok(())
         };
-        let out = self.stream_sql(sql_text, params, planner, &CancelToken::new(), &mut sink);
-        out.result?;
-        Ok(QueryOutcome {
-            rows,
-            stats: out.stats,
-            plan: out
-                .plan
-                .expect("successful statement always carries a plan"),
-            cache: out.cache,
-        })
+        self.stream_sql(sql_text, params, planner, &CancelToken::new(), &mut sink)
+            .collected(rows)
     }
 
     /// Streaming form of [`MppDb::run_sql`]: result chunks flow through
@@ -431,13 +437,28 @@ impl MppDb {
         cancel: &CancelToken,
         sink: &mut RowSink<'_>,
     ) -> StreamOutcome {
+        match mpp_sql::parse(sql_text) {
+            Ok(stmt) => self.stream_parsed(&stmt, params, planner, cancel, sink),
+            Err(e) => StreamOutcome::failed(e),
+        }
+    }
+
+    /// [`MppDb::stream_sql`] for a statement the caller has already
+    /// parsed (the session layer parses once, to tell DDL apart).
+    pub fn stream_parsed(
+        &self,
+        stmt: &mpp_sql::Statement,
+        params: &[Datum],
+        planner: Planner,
+        cancel: &CancelToken,
+        sink: &mut RowSink<'_>,
+    ) -> StreamOutcome {
         // Everything up to execution fails without stats, as before.
         let planned = (|| {
-            let stmt = mpp_sql::parse(sql_text)?;
-            if self.try_ddl(&stmt)?.is_some() {
+            if self.try_ddl(stmt)?.is_some() {
                 return Ok(None);
             }
-            let bound = mpp_sql::bind(&stmt, self.catalog(), &self.gen)?;
+            let bound = mpp_sql::bind(stmt, self.catalog(), &self.gen)?;
             check_param_arity(bound.param_count, params.len())?;
             let plan = Arc::new(self.optimize_with(planner, &bound.plan)?);
             Ok(Some((plan, bound.explain)))
@@ -502,8 +523,17 @@ impl MppDb {
 
     /// [`MppDb::prepare`] with an explicit planner flavor.
     pub fn prepare_with(&self, sql_text: &str, planner: Planner) -> Result<PreparedQuery> {
-        let stmt = mpp_sql::parse(sql_text)?;
-        if is_ddl(&stmt) {
+        self.prepare_parsed(&mpp_sql::parse(sql_text)?, planner)
+    }
+
+    /// [`MppDb::prepare_with`] for a statement the caller has already
+    /// parsed, so a plan-cache miss does not parse the text a second time.
+    pub fn prepare_parsed(
+        &self,
+        stmt: &mpp_sql::Statement,
+        planner: Planner,
+    ) -> Result<PreparedQuery> {
+        if is_ddl(stmt) {
             return Err(Error::Unsupported(
                 "DDL statements cannot be prepared; run them directly".into(),
             ));
@@ -513,7 +543,7 @@ impl MppDb {
         // (its epoch no longer current), never silently wrong.
         let catalog_version = self.catalog().version();
         let stats_version = self.catalog().stats_version();
-        let bound = mpp_sql::bind(&stmt, self.catalog(), &self.gen)?;
+        let bound = mpp_sql::bind(stmt, self.catalog(), &self.gen)?;
         let plan = Arc::new(self.optimize_with(planner, &bound.plan)?);
         let scan_estimates = scan_estimates(&plan, self.catalog());
         Ok(PreparedQuery {
@@ -534,14 +564,8 @@ impl MppDb {
             chunk.append_to(&mut rows);
             Ok(())
         };
-        let out = self.stream_prepared(q, params, &CancelToken::new(), &mut sink);
-        out.result?;
-        Ok(QueryOutcome {
-            rows,
-            stats: out.stats,
-            plan: out.plan.expect("prepared statement always carries a plan"),
-            cache: out.cache,
-        })
+        self.stream_prepared(q, params, &CancelToken::new(), &mut sink)
+            .collected(rows)
     }
 
     /// Streaming form of [`MppDb::execute_prepared`].
@@ -619,7 +643,9 @@ impl MppDb {
 
     /// Execute DDL statements (CREATE / DROP / ALTER TABLE); `None` when
     /// the statement is not DDL. DROP also truncates the table's storage,
-    /// and ALTER … DROP PARTITION removes the dropped leaves' rows.
+    /// and ALTER … DROP PARTITION removes the dropped leaves' rows. The
+    /// statistics follow at once: `Catalog::replace_table` takes dropped
+    /// leaves out of the row counts and registers added ones as empty.
     fn try_ddl(&self, stmt: &mpp_sql::Statement) -> Result<Option<QueryOutcome>> {
         use mpp_sql::Statement;
         match stmt {
@@ -635,11 +661,8 @@ impl MppDb {
                 mpp_sql::execute_ddl(stmt, self.catalog())?;
             }
             Statement::AlterTable { table, .. } => {
-                let before = self
-                    .catalog()
-                    .table_by_name(table)?
-                    .part_tree()?
-                    .partition_expansion();
+                let desc = self.catalog().table_by_name(table)?;
+                let before = desc.part_tree()?.partition_expansion();
                 mpp_sql::execute_ddl(stmt, self.catalog())?;
                 let after: std::collections::HashSet<PartOid> = self
                     .catalog()
@@ -651,14 +674,14 @@ impl MppDb {
                 let dropped: Vec<PartOid> =
                     before.into_iter().filter(|p| !after.contains(p)).collect();
                 if !dropped.is_empty() {
-                    self.storage.drop_parts(&dropped);
+                    self.storage.drop_parts(desc.oid, &dropped);
                 }
             }
             Statement::Analyze { table } => {
-                // One streaming pass over the table's blocks: row counts,
-                // per-partition counts, per-column NDV / nulls / min-max /
-                // equi-depth histograms. Writing the stats bumps the
-                // catalog's stats version, invalidating cached plans.
+                // Re-summarize the leaves that lost rows, merge all leaf
+                // summaries into the table's statistics. The stats version
+                // moves — invalidating cached plans — only if they differ
+                // from what is installed.
                 let oid = self.catalog().table_by_name(table)?.oid;
                 self.storage.analyze(oid)?;
             }
@@ -902,7 +925,12 @@ mod tests {
         assert!(db.sql("INSERT INTO m VALUES (35, 1)").is_err());
         db.sql("ALTER TABLE m ADD PARTITION p4 START (30) END (40)")
             .unwrap();
+        let oid = db.catalog().table_by_name("m").unwrap().oid;
+        let stats = db.catalog().stats(oid);
+        assert_eq!(stats.part_rows.len(), 4, "the new leaf is registered");
+        assert_eq!(stats.rows_in_parts(stats.part_rows.keys()), Some(3));
         db.sql("INSERT INTO m VALUES (35, 1)").unwrap();
+        assert_eq!(db.catalog().stats(oid).row_count, 4);
         let out = db.sql("SELECT count(*) FROM m").unwrap();
         assert_eq!(out.rows[0].values()[0], Datum::Int64(4));
         // Existing partitions kept their rows across the tree swap.
@@ -912,6 +940,9 @@ mod tests {
         db.sql("ALTER TABLE m DROP PARTITION p4").unwrap();
         let out = db.sql("SELECT count(*) FROM m").unwrap();
         assert_eq!(out.rows[0].values()[0], Datum::Int64(3));
+        // ... and from the statistics, without waiting for an ANALYZE.
+        let stats = db.catalog().stats(oid);
+        assert_eq!((stats.row_count, stats.part_rows.len()), (3, 3));
         assert!(db.sql("INSERT INTO m VALUES (35, 1)").is_err());
     }
 

@@ -33,8 +33,8 @@ use crate::protocol::{
     read_frame, write_frame, ClientMsg, ServerMsg, CODE_OVERLOADED, MAX_FRAME, PROTOCOL_VERSION,
 };
 use mpp_common::{Datum, Error};
-use mpp_session::{PreparedStatement, Session, SessionCtx};
-use mppart::{is_ddl, CancelToken, ResultChunk, StreamOutcome};
+use mpp_session::{PreparedStatement, Resolved, Session, SessionCtx};
+use mppart::{CancelToken, ResultChunk, StreamOutcome};
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -631,37 +631,31 @@ fn stream_query(
     // DataBlock. Failures before execution carry no statistics.
     enum Run<'a> {
         /// Session streaming path (DDL: no row description).
-        Ddl(&'a str),
+        Ddl(mpp_sql::Statement),
         /// Cache-resolved plan plus whether the lookup hit.
         Plan(Arc<mppart::PreparedQuery>, bool),
         Prepared(&'a PreparedStatement),
     }
     let run = match kind {
-        QueryKind::AdHoc(sql) => match mpp_sql::parse(sql) {
+        QueryKind::AdHoc(sql) => match session.resolve(sql) {
             Err(e) => {
                 ServerMetrics::inc(&m.queries_err);
                 return send(m, stream, &engine_error(&e));
             }
-            Ok(stmt) if is_ddl(&stmt) => Run::Ddl(sql),
-            Ok(_) => match session.cached_prepare(sql) {
-                Err(e) => {
-                    ServerMetrics::inc(&m.queries_err);
-                    return send(m, stream, &engine_error(&e));
-                }
-                Ok((q, hit)) => {
-                    let columns = if q.is_explain() {
-                        vec!["QUERY PLAN".to_string()]
-                    } else {
-                        q.plan()
-                            .output_cols()
-                            .iter()
-                            .map(|c| c.name.to_string())
-                            .collect()
-                    };
-                    send(m, stream, &ServerMsg::RowDescription { columns })?;
-                    Run::Plan(q, hit)
-                }
-            },
+            Ok(Resolved::Ddl(stmt)) => Run::Ddl(stmt),
+            Ok(Resolved::Plan(q, hit)) => {
+                let columns = if q.is_explain() {
+                    vec!["QUERY PLAN".to_string()]
+                } else {
+                    q.plan()
+                        .output_cols()
+                        .iter()
+                        .map(|c| c.name.to_string())
+                        .collect()
+                };
+                send(m, stream, &ServerMsg::RowDescription { columns })?;
+                Run::Plan(q, hit)
+            }
         },
         QueryKind::Prepared(ps) => {
             send(
@@ -744,9 +738,7 @@ fn stream_query(
                 Ok(())
             };
             match run {
-                Run::Ddl(sql) => {
-                    session.sql_stream_with_params(sql, params, &exec_cancel, &mut sink)
-                }
+                Run::Ddl(stmt) => session.stream_ddl(&stmt, params, &exec_cancel, &mut sink),
                 Run::Plan(q, hit) => {
                     let mut out =
                         shared

@@ -33,8 +33,10 @@ pub use cache::{CacheKey, PlanCache, DEFAULT_CACHE_CAPACITY};
 pub use normalize::normalize_sql;
 
 use mpp_common::{Datum, Result};
+use mpp_sql::Statement;
 use mppart::{
-    is_ddl, CancelToken, MppDb, Planner, PreparedQuery, QueryOutcome, RowSink, StreamOutcome,
+    is_ddl, CancelToken, MppDb, Planner, PreparedQuery, QueryOutcome, ResultChunk, RowSink,
+    StreamOutcome,
 };
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,6 +102,14 @@ pub struct SessionStats {
     pub misses: u64,
 }
 
+/// How a statement will run, as [`Session::resolve`] decides it.
+pub enum Resolved {
+    /// DDL or ANALYZE, parsed: run it with [`Session::stream_ddl`].
+    Ddl(Statement),
+    /// A plan from the cache, and whether the lookup hit.
+    Plan(Arc<PreparedQuery>, bool),
+}
+
 /// One client's handle on a [`SessionCtx`]. All methods take `&self`;
 /// open as many sessions as you have threads.
 pub struct Session {
@@ -140,30 +150,22 @@ impl Session {
 
     /// [`Session::sql`] with `$n` parameters bound. The cache key is the
     /// *normalized* text, so casing/whitespace/comment variants of one
-    /// statement share a single cached plan.
+    /// statement share a single cached plan. This is
+    /// [`Session::sql_stream_with_params`] with a sink that collects.
     pub fn sql_with_params(&self, text: &str, params: &[Datum]) -> Result<QueryOutcome> {
-        let db = self.ctx.db();
-        let stmt = mpp_sql::parse(text)?;
-        if is_ddl(&stmt) {
-            // DDL (and ANALYZE, which rides the DDL path) never caches;
-            // it bumps the planning epoch, so sweep the plans that
-            // epoch just obsoleted.
-            let mut out = db.run_sql(text, params, self.planner)?;
-            self.ctx.cache.sweep(db.planning_epoch());
-            out.cache = Some(self.ctx.cache.info(false));
-            return Ok(out);
-        }
-        let (q, hit) = self.cached_prepare(text)?;
-        let mut out = db.execute_prepared(&q, params)?;
-        out.cache = Some(self.ctx.cache.info(hit));
-        Ok(out)
+        let mut rows = Vec::new();
+        let mut sink = |chunk: ResultChunk| {
+            chunk.append_to(&mut rows);
+            Ok(())
+        };
+        self.sql_stream_with_params(text, params, &CancelToken::new(), &mut sink)
+            .collected(rows)
     }
 
     /// Streaming [`Session::sql_with_params`]: result chunks flow through
     /// `sink` as segments finish, `cancel` stops execution at the next
-    /// block boundary, and partial statistics survive errors. Identical
-    /// plan-cache behavior (DDL sweeps, everything else keys on
-    /// normalized text).
+    /// block boundary, and partial statistics survive errors. The text is
+    /// parsed once.
     pub fn sql_stream_with_params(
         &self,
         text: &str,
@@ -171,34 +173,63 @@ impl Session {
         cancel: &CancelToken,
         sink: &mut RowSink<'_>,
     ) -> StreamOutcome {
-        let db = self.ctx.db();
-        let stmt = match mpp_sql::parse(text) {
-            Ok(stmt) => stmt,
-            Err(e) => return StreamOutcome::failed(e),
-        };
-        if is_ddl(&stmt) {
-            let mut out = db.stream_sql(text, params, self.planner, cancel, sink);
-            if out.result.is_ok() {
-                self.ctx.cache.sweep(db.planning_epoch());
+        match self.resolve(text) {
+            Ok(Resolved::Ddl(stmt)) => self.stream_ddl(&stmt, params, cancel, sink),
+            Ok(Resolved::Plan(q, hit)) => {
+                let mut out = self.ctx.db().stream_prepared(&q, params, cancel, sink);
+                out.cache = Some(self.ctx.cache.info(hit));
+                out
             }
-            out.cache = Some(self.ctx.cache.info(false));
-            return out;
+            Err(e) => StreamOutcome::failed(e),
         }
-        let (q, hit) = match self.cached_prepare(text) {
-            Ok(pair) => pair,
-            Err(e) => return StreamOutcome::failed(e),
-        };
-        let mut out = db.stream_prepared(&q, params, cancel, sink);
-        out.cache = Some(self.ctx.cache.info(hit));
+    }
+
+    /// Decide how `text` runs, before it runs — so a streaming front end
+    /// (the network server) can announce the result's row description
+    /// first. The text is parsed here, once: the statement tells DDL apart
+    /// and, on a plan-cache miss, is what gets planned.
+    pub fn resolve(&self, text: &str) -> Result<Resolved> {
+        let stmt = mpp_sql::parse(text)?;
+        if is_ddl(&stmt) {
+            return Ok(Resolved::Ddl(stmt));
+        }
+        self.cached_prepare_or(text, |db| db.prepare_parsed(&stmt, self.planner))
+            .map(|(q, hit)| Resolved::Plan(q, hit))
+    }
+
+    /// Run a statement [`Session::resolve`] found to be DDL (or ANALYZE,
+    /// which rides the DDL path). It never caches; it can move the
+    /// planning epoch, so the plans that epoch just obsoleted are swept.
+    pub fn stream_ddl(
+        &self,
+        stmt: &Statement,
+        params: &[Datum],
+        cancel: &CancelToken,
+        sink: &mut RowSink<'_>,
+    ) -> StreamOutcome {
+        let db = self.ctx.db();
+        let mut out = db.stream_parsed(stmt, params, self.planner, cancel, sink);
+        if out.result.is_ok() {
+            self.ctx.cache.sweep(db.planning_epoch());
+        }
+        out.cache = Some(self.ctx.cache.info(false));
         out
     }
 
-    /// The cache lookup behind [`Session::sql_with_params`], exposed so
-    /// streaming front ends (the network server) can resolve the plan —
-    /// and announce the result's row description — *before* execution
-    /// starts. Counts a per-session hit or miss; the returned flag says
-    /// which.
+    /// The plan-cache lookup for a statement known not to be DDL, from its
+    /// text alone (a miss parses it). Counts a per-session hit or miss; the
+    /// returned flag says which.
     pub fn cached_prepare(&self, text: &str) -> Result<(Arc<PreparedQuery>, bool)> {
+        self.cached_prepare_or(text, |db| db.prepare_with(text, self.planner))
+    }
+
+    /// The lookup itself; `prepare` plans the statement on a miss (from
+    /// the text, or from the `Statement` [`Session::resolve`] parsed).
+    fn cached_prepare_or(
+        &self,
+        text: &str,
+        prepare: impl FnOnce(&MppDb) -> Result<PreparedQuery>,
+    ) -> Result<(Arc<PreparedQuery>, bool)> {
         let db = self.ctx.db();
         let key = CacheKey {
             sql: normalize_sql(text)?,
@@ -213,7 +244,7 @@ impl Session {
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let q = Arc::new(db.prepare_with(text, self.planner)?);
+                let q = Arc::new(prepare(db)?);
                 self.ctx.cache.insert(key, Arc::clone(&q));
                 Ok((q, false))
             }
@@ -423,6 +454,9 @@ mod tests {
     fn analyze_reoptimizes_cached_plans() {
         let ctx = ctx();
         let s = ctx.session();
+        // An ANALYZE over unchanged data installs nothing and bumps
+        // nothing, so write first; the write itself must not bump.
+        s.sql("INSERT INTO r VALUES (1, 1)").unwrap();
         let q = "SELECT count(*) FROM r JOIN s ON r.a = s.a";
         let a = s.sql(q).unwrap();
         assert!(!a.cache.unwrap().hit);
@@ -439,16 +473,62 @@ mod tests {
         assert_eq!(a.rows, b.rows);
         assert!(!Arc::ptr_eq(&a.plan, &b.plan), "plan must be rebuilt");
         // Prepared handles re-prepare lazily on the same trigger.
+        s.sql("INSERT INTO s VALUES (1, 1)").unwrap();
         let p = s.prepare("SELECT count(*) FROM s WHERE b < $1").unwrap();
         let sv1 = p.stats_version();
-        p.execute(&[Datum::Int32(100)]).unwrap();
+        let before = p.execute(&[Datum::Int32(100)]).unwrap();
         s.sql("ANALYZE s").unwrap();
         let out = p.execute(&[Datum::Int32(100)]).unwrap();
         assert!(
             !out.cache.unwrap().hit,
             "post-ANALYZE handle must re-prepare"
         );
+        assert_eq!(before.rows, out.rows);
         assert!(p.stats_version() > sv1);
+    }
+
+    /// The epoch contract of statistics maintenance: DML keeps the counts
+    /// exact and never moves the epoch; ANALYZE moves it once, and only
+    /// when what it installs differs from what is there.
+    #[test]
+    fn dml_keeps_cached_plans_and_analyze_bumps_once() {
+        let ctx = ctx();
+        let s = ctx.session();
+        let r = ctx.db().catalog().table_by_name("r").unwrap().oid;
+        let q = "SELECT count(*) FROM r WHERE b < 100";
+        let before = s.sql(q).unwrap().rows[0].values()[0].as_i64().unwrap();
+        let rows = ctx.db().catalog().stats(r).row_count;
+
+        let epoch = ctx.db().planning_epoch();
+        for i in 0..20 {
+            s.sql(&format!("INSERT INTO r VALUES ({i}, {})", i % 50))
+                .unwrap();
+        }
+        s.sql("UPDATE r SET a = 0 WHERE b = 7").unwrap();
+        s.sql("DELETE FROM r WHERE b = 8 AND a < 3").unwrap();
+        assert_eq!(ctx.db().planning_epoch(), epoch, "DML must not bump");
+        let out = s.sql(q).unwrap();
+        assert!(
+            out.cache.unwrap().hit,
+            "the cached read survives the writes"
+        );
+        assert!(out.rows[0].values()[0].as_i64().unwrap() >= before + 19);
+        assert_eq!(out.cache.unwrap().invalidations, 0);
+        // ... while the row count followed every statement.
+        let now = ctx.db().storage().row_count(r).unwrap();
+        assert_eq!(ctx.db().catalog().stats(r).row_count, now);
+        assert!(now >= rows + 19);
+
+        s.sql("ANALYZE r").unwrap();
+        let analyzed = ctx.db().planning_epoch();
+        assert_eq!(analyzed, (epoch.0, epoch.1 + 1), "exactly one bump");
+        assert!(!s.sql(q).unwrap().cache.unwrap().hit);
+
+        // Nothing changed since: ANALYZE is a no-op and plans stay cached.
+        s.sql("ANALYZE r").unwrap();
+        s.sql("ANALYZE s").unwrap();
+        assert_eq!(ctx.db().planning_epoch(), analyzed, "no-op must not bump");
+        assert!(s.sql(q).unwrap().cache.unwrap().hit);
     }
 
     #[test]
@@ -475,9 +555,9 @@ mod tests {
         assert!(!s.sql(q).unwrap().cache.unwrap().hit);
         assert!(s.sql(q).unwrap().cache.unwrap().hit);
 
-        // Bulk-grow s by ~2500×. The coarse insert-time refresh updates
-        // row counts but must NOT invalidate the cached plan — row-count
-        // drift alone never flushes caches.
+        // Bulk-grow s by ~2500×. The insert moves the row counts but must
+        // NOT invalidate the cached plan — row-count drift alone never
+        // flushes caches.
         let s_oid = ctx.db().catalog().table_by_name("s").unwrap().oid;
         let epoch = ctx.db().planning_epoch();
         ctx.db()
@@ -490,7 +570,7 @@ mod tests {
         assert_eq!(
             ctx.db().planning_epoch(),
             epoch,
-            "coarse refresh must not invalidate"
+            "row deltas must not invalidate"
         );
 
         // The next execution still serves the stale cached plan — and its
@@ -524,6 +604,55 @@ mod tests {
         let settled = ctx.db().planning_epoch();
         assert!(s.sql(q).unwrap().cache.unwrap().hit);
         assert_eq!(ctx.db().planning_epoch(), settled, "no invalidation loop");
+    }
+
+    /// A feedback override used to pin `row_count`: `Catalog::stats`
+    /// substituted the observation and ignored every later insert. Hidden
+    /// while each SQL write re-analyzed (which clears the override).
+    #[test]
+    fn feedback_override_follows_later_dml() {
+        use mppart::common::{Datum as D, Row};
+
+        let ctx = SessionCtx::new(4);
+        setup_rs(
+            ctx.db().storage(),
+            &SynthConfig {
+                r_rows: 2_000,
+                s_rows: 20,
+                ..SynthConfig::default()
+            },
+        )
+        .unwrap();
+        let s = ctx.session();
+        let s_oid = ctx.db().catalog().table_by_name("s").unwrap().oid;
+        let q = "SELECT count(*) FROM r JOIN s ON r.a = s.a";
+        s.sql(q).unwrap();
+        ctx.db()
+            .storage()
+            .insert(
+                s_oid,
+                (0..5_000).map(|i| Row::new(vec![D::Int32(i % 1000), D::Int32(i % 1000)])),
+            )
+            .unwrap();
+        s.sql(q).unwrap(); // the stale plan's >10x miss installs the override
+        assert_eq!(ctx.db().catalog().feedback_override(s_oid), Some(5_020));
+
+        let epoch = ctx.db().planning_epoch();
+        s.sql("INSERT INTO s VALUES (1, 1), (2, 2), (3, 3)")
+            .unwrap();
+        s.sql("DELETE FROM s WHERE a = 1 AND b = 1").unwrap();
+        let stored = ctx.db().storage().row_count(s_oid).unwrap();
+        assert_eq!(
+            ctx.db().catalog().stats(s_oid).row_count,
+            stored,
+            "the override must move with the rows, not pin the count"
+        );
+        assert_eq!(ctx.db().planning_epoch(), epoch);
+        // ANALYZE supersedes the observation, and says so through the epoch.
+        s.sql("ANALYZE s").unwrap();
+        assert_eq!(ctx.db().catalog().feedback_override(s_oid), None);
+        assert_eq!(ctx.db().catalog().stats(s_oid).row_count, stored);
+        assert_eq!(ctx.db().planning_epoch().1, epoch.1 + 1);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! The storage engine proper.
 
-use mpp_catalog::{Catalog, ColumnStats, Distribution, HistogramBuilder, TableStats};
+use mpp_catalog::{
+    Catalog, Distribution, LeafSummary, TableStats, LEAF_SAMPLE_CAP, TABLE_SAMPLE_CAP,
+};
 use mpp_common::{Datum, Error, PartOid, Result, Row, RowBlock, SegmentId, TableOid};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identity of a physical table: either a plain (unpartitioned) table or
@@ -14,11 +17,51 @@ pub enum PhysId {
     Part(PartOid),
 }
 
+impl PhysId {
+    /// The leaf partition this is, `None` for an unpartitioned table.
+    fn part(self) -> Option<PartOid> {
+        match self {
+            PhysId::Table(_) => None,
+            PhysId::Part(p) => Some(p),
+        }
+    }
+
+    fn sample_cap(self) -> usize {
+        match self {
+            PhysId::Table(_) => TABLE_SAMPLE_CAP,
+            PhysId::Part(_) => LEAF_SAMPLE_CAP,
+        }
+    }
+}
+
 impl std::fmt::Display for PhysId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PhysId::Table(t) => write!(f, "{t}"),
             PhysId::Part(p) => write!(f, "{p}"),
+        }
+    }
+}
+
+/// The statistics side of one physical table.
+struct Leaf {
+    /// Logical rows (one copy of a replicated table) and column sketches.
+    summary: LeafSummary,
+    /// Rows were removed since `summary` was built: its count is still
+    /// exact, but min/max, NDV and sample describe rows that may be gone.
+    /// The next ANALYZE rebuilds it from the blocks.
+    dirty: bool,
+    /// Bumped by every write, so ANALYZE can tell that a leaf changed
+    /// between its unlocked rescan and the install.
+    writes: u64,
+}
+
+impl Leaf {
+    fn new(phys: PhysId, width: usize) -> Leaf {
+        Leaf {
+            summary: LeafSummary::new(width, phys.sample_cap()),
+            dirty: false,
+            writes: 0,
         }
     }
 }
@@ -31,12 +74,28 @@ struct Inner {
     data: HashMap<(PhysId, SegmentId), RowBlock>,
 }
 
+/// One table's physical tables → their statistical summaries. A leaf that
+/// never held a row has none.
+type Leaves = HashMap<PhysId, Leaf>;
+
 /// The shared storage engine. Cheap to clone.
+///
+/// Two locks, taken in this order. A table's `leaves` mutex serializes
+/// everything that changes its rows — inserts, overwrites, drops — and
+/// ANALYZE's install: a writer holds it while it moves a leaf's blocks, its
+/// summary and the catalog's row counts, so the three never disagree to
+/// anyone who holds it. It is per table, so loading or analyzing one table
+/// never holds up writers of another (the map of tables is locked only to
+/// look one up). `inner` guards the blocks themselves and is write-held
+/// only to append or swap one; scans take nothing else, so statistics work
+/// never makes a query wait.
 #[derive(Clone)]
 pub struct Storage {
     catalog: Catalog,
     num_segments: usize,
     inner: Arc<RwLock<Inner>>,
+    leaves: Arc<Mutex<HashMap<TableOid, Arc<Mutex<Leaves>>>>>,
+    leaves_resummarized: Arc<AtomicU64>,
 }
 
 impl Storage {
@@ -46,6 +105,8 @@ impl Storage {
             catalog,
             num_segments,
             inner: Arc::new(RwLock::new(Inner::default())),
+            leaves: Arc::default(),
+            leaves_resummarized: Arc::default(),
         }
     }
 
@@ -59,6 +120,12 @@ impl Storage {
 
     pub fn segments(&self) -> impl Iterator<Item = SegmentId> {
         (0..self.num_segments as u32).map(SegmentId)
+    }
+
+    /// The lock over `table`'s leaf summaries. Entries are never removed,
+    /// so everyone who asks for a table gets the same lock.
+    fn leaves_of(&self, table: TableOid) -> Arc<Mutex<Leaves>> {
+        Arc::clone(self.leaves.lock().entry(table).or_default())
     }
 
     /// Which segment(s) a row of `table` belongs on.
@@ -112,10 +179,19 @@ impl Storage {
             .collect())
     }
 
-    /// Insert rows, routing each to its partition and segment(s). The
-    /// catalog work — descriptor resolution, partition-key indices, the
-    /// distribution — is done once per batch, not once per row; the per-row
-    /// cost is one O(log P) route plus one hash.
+    /// Do the blocks on `segment` count toward a table's logical rows?
+    /// Every segment of a replicated table holds a full copy; count one.
+    fn counts_rows(dist: &Distribution, segment: SegmentId) -> bool {
+        !matches!(dist, Distribution::Replicated) || segment.0 == 0
+    }
+
+    /// Insert rows, routing each to its partition and segment(s), and fold
+    /// them into the touched leaves' statistical summaries — O(rows
+    /// inserted), so a table loaded only by inserts is described as well
+    /// as a rescan would describe it. The catalog work — descriptor
+    /// resolution, partition-key indices, the distribution — is done once
+    /// per batch, not once per row; the per-row cost is one O(log P) route
+    /// plus one hash.
     pub fn insert(&self, table: TableOid, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
         let desc = self.catalog.table(table)?;
         let part = desc
@@ -124,7 +200,6 @@ impl Storage {
             .map(|tree| (tree, tree.key_indices()));
         let mut keys: Vec<Datum> = Vec::with_capacity(part.as_ref().map_or(0, |(_, k)| k.len()));
         let mut staged: HashMap<(PhysId, SegmentId), Vec<Row>> = HashMap::new();
-        let mut part_deltas: HashMap<PartOid, u64> = HashMap::new();
         let mut n = 0usize;
         for row in rows {
             if row.len() != desc.schema.len() {
@@ -153,31 +228,62 @@ impl Storage {
                     PhysId::Part(oid)
                 }
             };
-            for seg in self.target_segments(&desc.distribution, &row) {
+            let mut segs = self.target_segments(&desc.distribution, &row).into_iter();
+            let last = segs.next_back();
+            for seg in segs {
                 staged.entry((phys, seg)).or_default().push(row.clone());
             }
-            if let PhysId::Part(oid) = phys {
-                *part_deltas.entry(oid).or_insert(0) += 1;
+            if let Some(seg) = last {
+                staged.entry((phys, seg)).or_default().push(row);
             }
             n += 1;
         }
+        if n == 0 {
+            return Ok(0);
+        }
         let width = desc.schema.len();
-        let mut g = self.inner.write();
-        for (key, rows) in staged {
-            g.data
-                .entry(key)
-                .or_insert_with(|| RowBlock::empty(width))
-                .append_rows(&rows);
+        // Fold and append in (leaf, segment) order, the order a rescan
+        // walks: a sample depends on the order its values arrive in, and
+        // the hash map's order differs from process to process.
+        let mut staged: Vec<_> = staged.into_iter().collect();
+        staged.sort_unstable_by_key(|(key, _)| *key);
+        let leaves = self.leaves_of(table);
+        let mut leaves = leaves.lock();
+        let mut deltas: HashMap<PhysId, i64> = HashMap::new();
+        for ((phys, seg), rows) in &staged {
+            if Storage::counts_rows(&desc.distribution, *seg) {
+                let leaf = leaves
+                    .entry(*phys)
+                    .or_insert_with(|| Leaf::new(*phys, width));
+                for row in rows {
+                    leaf.summary.observe_row(row.values());
+                }
+                leaf.writes += 1;
+                *deltas.entry(*phys).or_insert(0) += rows.len() as i64;
+            }
         }
-        drop(g);
-        // Coarse stats refresh: keep the row counts trailing the data so
-        // the optimizer never costs a freshly-loaded table as empty. Does
-        // not bump the stats version (see `Catalog::refresh_stats_coarse`).
-        if n > 0 {
-            let deltas: Vec<(PartOid, u64)> = part_deltas.into_iter().collect();
-            self.catalog.refresh_stats_coarse(table, n as u64, &deltas);
+        {
+            // One write-lock section, so scans see the batch whole; each
+            // group's staged rows are freed as soon as they are appended.
+            let mut g = self.inner.write();
+            for (key, rows) in staged {
+                g.data
+                    .entry(key)
+                    .or_insert_with(|| RowBlock::empty(width))
+                    .append_rows(&rows);
+            }
         }
+        // Still holding `leaves`, so an ANALYZE never installs counts that
+        // miss, or double, an insert it raced with. The catalog never calls
+        // into storage, so the lock order storage → catalog is safe.
+        self.apply_row_deltas(table, deltas);
         Ok(n)
+    }
+
+    fn apply_row_deltas(&self, table: TableOid, deltas: HashMap<PhysId, i64>) {
+        let deltas: Vec<(Option<PartOid>, i64)> =
+            deltas.into_iter().map(|(p, d)| (p.part(), d)).collect();
+        self.catalog.apply_row_deltas(table, &deltas);
     }
 
     /// Scan one physical table on one segment as a columnar block: an
@@ -299,112 +405,164 @@ impl Storage {
         Ok(n)
     }
 
+    /// The table a physical table belongs to, while the catalog knows it.
+    fn owner(&self, phys: PhysId) -> Option<Arc<mpp_catalog::TableDesc>> {
+        let table = match phys {
+            PhysId::Table(t) => t,
+            PhysId::Part(p) => self.catalog.part_owner(p).ok()?,
+        };
+        self.catalog.table(table).ok()
+    }
+
     /// Replace the contents of one physical table on one segment (used by
-    /// DML execution).
+    /// DML execution). The row counts move by exactly the difference; the
+    /// leaf's sketches cannot retract the rows that went, so it is marked
+    /// dirty for the next ANALYZE.
     pub fn overwrite(&self, phys: PhysId, segment: SegmentId, rows: Vec<Row>) {
-        let mut g = self.inner.write();
-        match rows.first() {
-            None => {
-                g.data.remove(&(phys, segment));
+        let block = rows
+            .first()
+            .map(|first| RowBlock::from_rows(&rows, first.len()));
+        let swap = |block: Option<RowBlock>| {
+            let mut g = self.inner.write();
+            match block {
+                None => g.data.remove(&(phys, segment)),
+                Some(block) => g.data.insert((phys, segment), block),
             }
-            Some(first) => {
-                let width = first.len();
-                g.data
-                    .insert((phys, segment), RowBlock::from_rows(&rows, width));
-            }
+        };
+        // A leaf the catalog no longer knows was dropped under the
+        // statement that writes it: there are no statistics left to keep.
+        let Some(desc) = self.owner(phys) else {
+            swap(block);
+            return;
+        };
+        let leaves = self.leaves_of(desc.oid);
+        let mut leaves = leaves.lock();
+        let leaf = match &block {
+            None => leaves.get_mut(&phys),
+            Some(b) => Some(
+                leaves
+                    .entry(phys)
+                    .or_insert_with(|| Leaf::new(phys, b.width())),
+            ),
+        };
+        let old = swap(block);
+        let delta = rows.len() as i64 - old.map_or(0, |b| b.len()) as i64;
+        let Some(leaf) = leaf else { return };
+        leaf.dirty = true;
+        leaf.writes += 1;
+        if Storage::counts_rows(&desc.distribution, segment) {
+            leaf.summary.adjust_rows(delta);
+            self.catalog
+                .apply_row_deltas(desc.oid, &[(phys.part(), delta)]);
         }
     }
 
     /// Delete all rows of a logical table.
     pub fn truncate(&self, table: TableOid) -> Result<()> {
         let phys: HashSet<PhysId> = self.physical_tables(table)?.into_iter().collect();
-        let mut g = self.inner.write();
-        g.data.retain(|(p, _), _| !phys.contains(p));
+        let leaves = self.leaves_of(table);
+        let mut leaves = leaves.lock();
+        self.inner
+            .write()
+            .data
+            .retain(|(p, _), _| !phys.contains(p));
+        let deltas = leaves
+            .drain()
+            .map(|(p, leaf)| (p, -(leaf.summary.rows() as i64)))
+            .collect();
+        self.apply_row_deltas(table, deltas);
         Ok(())
     }
 
-    /// Delete the rows of specific leaf partitions on every segment —
-    /// the storage side of `ALTER TABLE … DROP PARTITION`, called after
-    /// the catalog no longer knows the leaves.
-    pub fn drop_parts(&self, parts: &[PartOid]) {
+    /// Delete the rows and summaries of specific leaf partitions of `table`
+    /// on every segment — the storage side of `ALTER TABLE … DROP
+    /// PARTITION`, called after the catalog no longer knows the leaves (and
+    /// has already taken their rows out of the table's counts).
+    pub fn drop_parts(&self, table: TableOid, parts: &[PartOid]) {
         let phys: HashSet<PhysId> = parts.iter().map(|&p| PhysId::Part(p)).collect();
-        let mut g = self.inner.write();
-        g.data.retain(|(p, _), _| !phys.contains(p));
+        let leaves = self.leaves_of(table);
+        let mut leaves = leaves.lock();
+        self.inner
+            .write()
+            .data
+            .retain(|(p, _), _| !phys.contains(p));
+        leaves.retain(|p, _| !phys.contains(p));
     }
 
-    /// Compute and install [`TableStats`] for a table: row count, per-leaf
-    /// partition row counts and, for every column, NDV / null fraction /
-    /// min / max plus an equi-depth histogram (integer-ordered columns) —
-    /// all in one streaming pass over the resident blocks, no row
-    /// materialization and no data sort (the histogram builder only ever
-    /// sorts its bounded reservoir sample).
+    /// Compute and install [`TableStats`] for a table: re-summarize the
+    /// *dirty* leaves (the ones that lost rows since their summary was
+    /// built) from their resident blocks, then merge every leaf's summary
+    /// into the table's statistics. Leaves only inserted into are already
+    /// described exactly, so a table nobody deleted from costs a merge and
+    /// no scan; a table whose every leaf is dirty costs one streaming pass
+    /// over its blocks, column at a time, no row materialization.
+    ///
+    /// The rescan runs without any lock — it works on `Arc` clones of the
+    /// blocks — so ANALYZE holds up only this table's writers, only for
+    /// the merge, and scans not at all. A leaf written to meanwhile keeps
+    /// its old summary and stays dirty. The planning epoch moves only if
+    /// the merged statistics differ from the installed ones
+    /// ([`Catalog::set_stats`]).
+    ///
+    /// The result is a function of the table's write history: inserts fold
+    /// and rescans walk in (leaf, segment) order, and the samplers are
+    /// seeded, so identical loads give identical statistics in every
+    /// process. (A rescanned leaf's sample can differ from the one its
+    /// inserts built: batch by batch is another order than segment by
+    /// segment.)
     pub fn analyze(&self, table: TableOid) -> Result<TableStats> {
         let desc = self.catalog.table(table)?;
-        let phys = self.physical_tables(table)?;
         let ncols = desc.schema.len();
-        let mut rows_seen = 0u64;
-        let mut part_rows: HashMap<PartOid, u64> = HashMap::new();
-        let mut distinct: Vec<HashSet<Datum>> = vec![HashSet::new(); ncols];
-        let mut nulls = vec![0u64; ncols];
-        let mut mins: Vec<Option<Datum>> = vec![None; ncols];
-        let mut maxs: Vec<Option<Datum>> = vec![None; ncols];
-        let mut hists: Vec<HistogramBuilder> = vec![HistogramBuilder::new(); ncols];
-        let replicated = matches!(desc.distribution, Distribution::Replicated);
-        let g = self.inner.read();
-        for p in &phys {
-            // For replicated tables, scan one segment's copy only.
-            let seg_range: Vec<u32> = if replicated {
-                vec![0]
-            } else {
-                (0..self.num_segments as u32).collect()
-            };
-            for seg in seg_range {
-                let Some(block) = g.data.get(&(*p, SegmentId(seg))) else {
-                    continue;
-                };
-                rows_seen += block.len() as u64;
-                if let PhysId::Part(oid) = p {
-                    *part_rows.entry(*oid).or_insert(0) += block.len() as u64;
-                }
-                // Column-at-a-time statistics straight off the resident
-                // block — no row materialization.
-                for (i, col) in block.columns().iter().enumerate().take(ncols) {
-                    for r in 0..block.phys_rows() {
-                        let v = col.get(r);
-                        if v.is_null() {
-                            nulls[i] += 1;
-                            continue;
-                        }
-                        match &mins[i] {
-                            Some(m) if &v >= m => {}
-                            _ => mins[i] = Some(v.clone()),
-                        }
-                        match &maxs[i] {
-                            Some(m) if &v <= m => {}
-                            _ => maxs[i] = Some(v.clone()),
-                        }
-                        hists[i].add_datum(&v);
-                        distinct[i].insert(v);
-                    }
-                }
+        let segments: Vec<SegmentId> = self
+            .segments()
+            .filter(|&seg| Storage::counts_rows(&desc.distribution, seg))
+            .collect();
+        let table_leaves = self.leaves_of(table);
+        let dirty: Vec<(PhysId, u64, Vec<RowBlock>)> = {
+            let leaves = table_leaves.lock();
+            let g = self.inner.read();
+            self.physical_tables(table)?
+                .into_iter()
+                .filter_map(|p| {
+                    let leaf = leaves.get(&p).filter(|leaf| leaf.dirty)?;
+                    let blocks = segments
+                        .iter()
+                        .filter_map(|&seg| g.data.get(&(p, seg)).cloned())
+                        .collect();
+                    Some((p, leaf.writes, blocks))
+                })
+                .collect()
+        };
+        let fresh: Vec<(PhysId, u64, LeafSummary)> = dirty
+            .into_iter()
+            .map(|(p, writes, blocks)| (p, writes, summarize(p, ncols, &blocks)))
+            .collect();
+        self.leaves_resummarized
+            .fetch_add(fresh.len() as u64, Ordering::Relaxed);
+
+        let mut leaves = table_leaves.lock();
+        for (p, writes, summary) in fresh {
+            if let Some(leaf) = leaves.get_mut(&p).filter(|leaf| leaf.writes == writes) {
+                leaf.summary = summary;
+                leaf.dirty = false;
             }
         }
-        drop(g);
-        let mut stats = TableStats::new(rows_seen).with_part_rows(part_rows);
-        for (i, hist) in hists.into_iter().enumerate() {
-            let mut cs = ColumnStats::new(distinct[i].len() as u64);
-            cs.null_frac = if rows_seen == 0 {
-                0.0
-            } else {
-                nulls[i] as f64 / rows_seen as f64
-            };
-            cs.min = mins[i].clone();
-            cs.max = maxs[i].clone();
-            cs.histogram = hist.finish();
-            stats = stats.with_column(i, cs);
-        }
+        // The table's leaves are asked for again, so that a partition
+        // dropped during the rescan does not come back as a zero-row entry.
+        let stats = TableStats::from_leaves(
+            ncols,
+            self.physical_tables(table)?
+                .iter()
+                .map(|p| (p.part(), leaves.get(p).map(|leaf| &leaf.summary))),
+        );
         self.catalog.set_stats(table, stats.clone());
         Ok(stats)
+    }
+
+    /// Leaves whose summaries ANALYZE has rebuilt from their blocks since
+    /// this engine was created (the rest were merged as they stood).
+    pub fn leaves_resummarized(&self) -> u64 {
+        self.leaves_resummarized.load(Ordering::Relaxed)
     }
 
     /// Rewrite every resident block into the `Any` (per-datum)
@@ -418,6 +576,20 @@ impl Storage {
             *b = b.degraded();
         }
     }
+}
+
+/// Summarize a leaf from its resident (dense) blocks, column at a time.
+fn summarize(phys: PhysId, ncols: usize, blocks: &[RowBlock]) -> LeafSummary {
+    let mut summary = LeafSummary::new(ncols, phys.sample_cap());
+    for block in blocks {
+        summary.adjust_rows(block.len() as i64);
+        for (c, col) in block.columns().iter().enumerate().take(ncols) {
+            for r in 0..block.phys_rows() {
+                summary.observe(c, &col.get(r));
+            }
+        }
+    }
+    summary
 }
 
 /// Cut one block into morsels of at most `morsel_rows` logical rows,
@@ -632,19 +804,136 @@ mod tests {
     }
 
     #[test]
-    fn insert_refreshes_coarse_row_counts() {
+    fn insert_keeps_row_counts_exact_without_bumping() {
         let (st, t) = setup(Some(4), Distribution::Hashed(vec![0]));
         st.insert(t, (0..12).map(|i| row![i, i % 40])).unwrap();
         let stats = st.catalog().stats(t);
-        assert_eq!(stats.row_count, 12, "insert must refresh the row count");
+        assert_eq!(stats.row_count, 12, "insert must move the row count");
         let sv = st.catalog().stats_version();
         st.insert(t, vec![row![100, 5]]).unwrap();
         assert_eq!(st.catalog().stats(t).row_count, 13);
         assert_eq!(
             st.catalog().stats_version(),
             sv,
-            "coarse refresh must not bump the stats version"
+            "row deltas must not bump the stats version"
         );
+    }
+
+    #[test]
+    fn insert_only_table_analyzes_without_a_rescan() {
+        let (st, t) = setup(Some(4), Distribution::Hashed(vec![0]));
+        st.insert(t, (0..40).map(|i| row![i % 7, i])).unwrap();
+        let stats = st.analyze(t).unwrap();
+        assert_eq!(st.leaves_resummarized(), 0, "inserts fold exactly");
+        assert_eq!(stats.columns[&0].ndv, 7);
+        assert_eq!(stats.columns[&1].max, Some(Datum::Int32(39)));
+        assert_eq!(stats.columns[&1].histogram.as_ref().unwrap().total, 40);
+    }
+
+    #[test]
+    fn identical_loads_give_identical_stats() {
+        // Leaves well past the 256-value reservoir, several segments each:
+        // the sample then depends on the order the fold sees the groups in.
+        let load = || {
+            let (st, t) = setup(Some(4), Distribution::Hashed(vec![0]));
+            for batch in 0..3 {
+                let rows = (0..4_000).map(|i| row![i * 7 + batch, (i * 13 + batch) % 40]);
+                st.insert(t, rows).unwrap();
+            }
+            let inserted = st.analyze(t).unwrap();
+            // Dirty every leaf, so the second ANALYZE is a full rescan.
+            for leaf in st.physical_tables(t).unwrap() {
+                let rows = st.scan(leaf, SegmentId(0));
+                st.overwrite(leaf, SegmentId(0), rows);
+            }
+            (inserted, st.analyze(t).unwrap())
+        };
+        let (a, b) = (load(), load());
+        assert!(a.0.columns[&0].histogram.is_some());
+        assert_eq!(a.0, b.0, "insert-built statistics");
+        assert_eq!(a.1, b.1, "rescanned statistics");
+    }
+
+    #[test]
+    fn analyze_resummarizes_exactly_the_dirty_leaves() {
+        let (st, t) = setup(Some(8), Distribution::Hashed(vec![0]));
+        st.insert(t, (0..80).map(|i| row![i, i])).unwrap();
+        st.analyze(t).unwrap();
+        let leaves = st.physical_tables(t).unwrap();
+        // Delete from leaves 1 and 5 (every segment of each), append to 6.
+        for &leaf in &[leaves[1], leaves[5]] {
+            for seg in st.segments() {
+                let mut rows = st.scan(leaf, seg);
+                rows.pop();
+                st.overwrite(leaf, seg, rows);
+            }
+        }
+        st.insert(t, vec![row![1000, 65]]).unwrap();
+        let before = st.leaves_resummarized();
+        let sv = st.catalog().stats_version();
+        let stats = st.analyze(t).unwrap();
+        assert_eq!(
+            st.leaves_resummarized() - before,
+            2,
+            "2 of 8 leaves lost rows"
+        );
+        assert_eq!(st.catalog().stats_version(), sv + 1);
+        assert_eq!(stats.row_count, st.row_count(t).unwrap());
+        // b was unique; the appended row repeats one value that is still there.
+        assert_eq!(stats.columns[&1].ndv, stats.row_count - 1);
+        // Nothing is dirty now: ANALYZE merges, rescans nothing, bumps nothing.
+        let again = st.analyze(t).unwrap();
+        assert_eq!(again, stats);
+        assert_eq!(st.leaves_resummarized() - before, 2);
+        assert_eq!(st.catalog().stats_version(), sv + 1);
+    }
+
+    #[test]
+    fn removed_rows_leave_the_counts_at_once() {
+        let (st, t) = setup(Some(4), Distribution::Hashed(vec![0]));
+        st.insert(t, (0..40).map(|i| row![i, i])).unwrap();
+        let leaves = st.physical_tables(t).unwrap();
+        let PhysId::Part(first) = leaves[0] else {
+            panic!("partitioned")
+        };
+        // overwrite: the count moves by exactly the difference.
+        let seg = st
+            .segments()
+            .find(|&s| !st.scan(leaves[0], s).is_empty())
+            .unwrap();
+        let mut rows = st.scan(leaves[0], seg);
+        let removed = rows.len() - 1;
+        rows.truncate(1);
+        st.overwrite(leaves[0], seg, rows);
+        let stats = st.catalog().stats(t);
+        assert_eq!(stats.row_count, 40 - removed as u64);
+        assert_eq!(stats.part_rows[&first], 10 - removed as u64);
+        st.overwrite(leaves[0], seg, Vec::new());
+        assert_eq!(st.catalog().stats(t).row_count, 39 - removed as u64);
+        // ANALYZE rebuilds the dirty leaf and agrees with the deltas.
+        let analyzed = st.analyze(t).unwrap();
+        assert_eq!(analyzed.row_count, st.row_count(t).unwrap());
+        assert_eq!(analyzed.part_rows, st.catalog().stats(t).part_rows);
+        // truncate: everything goes, per leaf and in total.
+        st.truncate(t).unwrap();
+        let stats = st.catalog().stats(t);
+        assert_eq!(stats.row_count, 0);
+        assert!(stats.part_rows.values().all(|&n| n == 0));
+        assert_eq!(st.analyze(t).unwrap().row_count, 0);
+    }
+
+    #[test]
+    fn replicated_deletes_count_one_copy() {
+        let (st, t) = setup(None, Distribution::Replicated);
+        st.insert(t, vec![row![1, 1], row![2, 2], row![3, 3]])
+            .unwrap();
+        for seg in st.segments() {
+            st.overwrite(PhysId::Table(t), seg, vec![row![1, 1]]);
+        }
+        assert_eq!(st.catalog().stats(t).row_count, 1);
+        let stats = st.analyze(t).unwrap();
+        assert_eq!(stats.row_count, 1);
+        assert_eq!(stats.columns[&0].max, Some(Datum::Int32(1)));
     }
 
     #[test]

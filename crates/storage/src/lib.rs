@@ -13,8 +13,11 @@
 //!   ([`mpp_catalog::PartTree::route`]); a tuple that maps to `⊥` is
 //!   rejected, like a violated check constraint.
 //!
-//! [`Storage::analyze`] computes [`mpp_catalog::TableStats`] the optimizer
-//! uses for costing.
+//! Each physical table also carries a bounded statistical summary
+//! ([`mpp_catalog::LeafSummary`]) that inserts fold rows into;
+//! [`Storage::analyze`] re-summarizes the leaves that lost rows and merges
+//! all of them into the [`mpp_catalog::TableStats`] the optimizer uses for
+//! costing.
 
 pub mod engine;
 
