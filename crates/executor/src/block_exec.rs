@@ -10,6 +10,8 @@
 //!   surviving rows,
 //! * projections and join-key extraction evaluate column-at-a-time via
 //!   [`mpp_expr::CompiledExpr::eval_column_strict`],
+//! * aggregation folds the child's chunks, in order, through one instance
+//!   of the typed kernel (`agg_kernel.rs`) — no `Vec<Datum>` per row,
 //! * Motions cache and ship chunk lists; Broadcast destinations share
 //!   the same materialization (column `Arc` bumps), Redistribute hashes
 //!   every chunk once per Motion and routes by selection,
@@ -25,6 +27,7 @@
 //! pair); DML plans never reach this module (the driver routes them to
 //! the row engine).
 
+use crate::agg_kernel::{AggSpec, Finalized, PartialAgg};
 use crate::context::ExecContext;
 use crate::exec::{compiled, exec, hash_join, nl_join, AggExec, TupleSelector};
 use crate::stats::SegmentStats;
@@ -229,46 +232,36 @@ pub(crate) fn exec_block(
         } => {
             let chunks = exec_block(child, seg, storage, ctx)?;
             let cols = child.output_cols();
-            let mut agg = AggExec::prepare(group_by, aggs, &cols, ctx)?;
-            let args = agg.args.clone();
-            let positions = agg.positions.clone();
-            for b in &chunks {
-                // Strict columnar evaluation of every aggregate argument;
-                // any failure sends this chunk through the row path so
-                // the first error surfaces in row-major order.
-                let mut argcols: Vec<Option<ColumnVec>> = Vec::with_capacity(args.len());
-                let mut strict = true;
-                for a in &args {
-                    match a {
-                        None => argcols.push(None),
-                        Some(e) => match e.eval_column_strict(b) {
-                            Ok(c) => argcols.push(Some(c)),
-                            Err(_) => {
-                                strict = false;
-                                break;
-                            }
-                        },
+            let mut exact = AggExec::prepare(group_by, aggs, &cols, ctx)?;
+            let spec = AggSpec::new(&exact, aggs, plan.output_cols().len());
+            // One kernel instance absorbs the chunks in order — no merge,
+            // so a float sum stays the row engine's sequential fold.
+            let mut kernel = PartialAgg::new(aggs.len());
+            let mut stats = SegmentStats::default();
+            let typed = match chunks
+                .iter()
+                .try_for_each(|b| kernel.absorb(b, &spec, &mut stats))
+            {
+                Ok(()) => kernel.finalize(&spec, seg),
+                Err(_) => Finalized::NeedsExact,
+            };
+            let rows = match typed {
+                Finalized::Rows(rows) => rows,
+                // An argument errored, or the typed state cannot prove
+                // its result: replay every chunk through the row
+                // accumulator from the start, which surfaces the
+                // row-major first error (or the exact value).
+                Finalized::NeedsExact => {
+                    for b in &chunks {
+                        for k in 0..b.len() {
+                            exact.observe_row(&b.row_at_phys(b.phys_index(k)))?;
+                        }
                     }
+                    exact.finalize(aggs, seg)?
                 }
-                if strict {
-                    for k in 0..b.len() {
-                        let key: Vec<Datum> = positions.iter().map(|&p| b.datum_at(k, p)).collect();
-                        let s = agg.slot(key);
-                        agg.observe_values(
-                            s,
-                            argcols.iter().map(|c| c.as_ref().map(|c| c.get(k))),
-                        )?;
-                    }
-                    ctx.seg_stats(seg).rows_vectorized += b.len() as u64;
-                } else {
-                    for k in 0..b.len() {
-                        agg.observe_row(&b.row_at_phys(b.phys_index(k)))?;
-                    }
-                    ctx.seg_stats(seg).rows_row_fallback += b.len() as u64;
-                }
-            }
-            let rows = agg.finalize(aggs, seg)?;
-            Ok(rows_to_chunks(rows, plan.output_cols().len()))
+            };
+            ctx.seg_stats(seg).absorb(stats);
+            Ok(rows_to_chunks(rows, spec.width))
         }
 
         PhysicalPlan::Motion { kind, child } => {

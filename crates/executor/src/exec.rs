@@ -1182,10 +1182,12 @@ impl Acc {
     }
 }
 
-/// Hash-aggregation state shared by the row and block engines. Group keys
-/// are built **once** per input row and moved into the index on first
-/// sight (the former implementation cloned each key up to three times per
-/// row); the per-group prefix row is cloned once per *distinct* group.
+/// Row-at-a-time hash-aggregation state: the row engine's aggregation,
+/// and the block engine's exact-first-error fallback (its strict path is
+/// `agg_kernel.rs`). Group keys are built **once** per input row
+/// and moved into the index on first sight (the former implementation
+/// cloned each key up to three times per row); the per-group prefix row
+/// is cloned once per *distinct* group.
 pub(crate) struct AggExec {
     /// Compiled aggregate arguments (`None` = COUNT(*), no argument).
     pub(crate) args: Vec<Option<Arc<CompiledExpr>>>,
@@ -1227,7 +1229,7 @@ impl AggExec {
     /// Slot index for a group key, creating the group on first sight. The
     /// key is moved, not cloned — the single extra copy (the group's
     /// output prefix) happens once per distinct group.
-    pub(crate) fn slot(&mut self, key: Vec<Datum>) -> usize {
+    fn slot(&mut self, key: Vec<Datum>) -> usize {
         let n_aggs = self.args.len();
         match self.index.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
@@ -1239,19 +1241,6 @@ impl AggExec {
                 i
             }
         }
-    }
-
-    /// Fold pre-computed argument values (one per aggregate, in call
-    /// order) into a slot — the block engine's columnar entry point.
-    pub(crate) fn observe_values(
-        &mut self,
-        slot: usize,
-        vals: impl Iterator<Item = Option<Datum>>,
-    ) -> Result<()> {
-        for (acc, v) in self.groups[slot].1.iter_mut().zip(vals) {
-            acc.observe(v)?;
-        }
-        Ok(())
     }
 
     /// Fold one input row: build the key once, evaluate the arguments in
@@ -1282,14 +1271,7 @@ impl AggExec {
             if seg != SegmentId(0) {
                 return Ok(Vec::new());
             }
-            let vals: Vec<Datum> = aggs
-                .iter()
-                .map(|call| match call.func {
-                    AggFunc::Count => Datum::Int64(0),
-                    _ => Datum::Null,
-                })
-                .collect();
-            return Ok(vec![Row::new(vals)]);
+            return Ok(vec![empty_scalar_row(aggs)]);
         }
         let mut out = Vec::with_capacity(self.groups.len());
         for (key, accs) in &self.groups {
@@ -1301,6 +1283,16 @@ impl AggExec {
         }
         Ok(out)
     }
+}
+
+/// The one row a scalar aggregate emits over empty input: `COUNT` is 0,
+/// everything else NULL.
+pub(crate) fn empty_scalar_row(aggs: &[AggCall]) -> Row {
+    let vals = aggs.iter().map(|call| match call.func {
+        AggFunc::Count => Datum::Int64(0),
+        _ => Datum::Null,
+    });
+    Row::new(vals.collect())
 }
 
 /// Hash aggregation (row engine).

@@ -30,6 +30,7 @@
 //! [`SegmentStats`] — which the benchmark harness uses to regenerate
 //! the paper's Figures 16–17 and Table 2.
 
+mod agg_kernel;
 pub mod block_exec;
 pub mod context;
 pub mod exec;

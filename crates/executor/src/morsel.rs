@@ -25,9 +25,9 @@
 //! and every morsel runs the whole scan→filter→project→partial-agg
 //! pipeline as one task. A skewed partition therefore spreads over all
 //! workers instead of serializing its segment's thread, and the fused
-//! pipeline keeps per-morsel group state in typed accumulators (an
-//! integer-keyed fast path when the single GROUP BY column is an integer
-//! column) instead of per-row `Vec<Datum>` keys.
+//! pipeline keeps per-morsel group state in the typed aggregation kernel
+//! (`agg_kernel.rs`, shared with the unfused `HashAgg` arm) instead
+//! of per-row `Vec<Datum>` keys.
 //!
 //! ## Determinism
 //!
@@ -55,6 +55,7 @@
 //! context); the re-run path strips them from the slice so their stats
 //! are never double-counted.
 
+use crate::agg_kernel::{AggSpec, Finalized, PartialAgg};
 use crate::block_exec::{exec_block, filter_block_core, project_block_core, rows_to_chunks};
 use crate::context::ExecContext;
 use crate::exec::{compiled, exec, AggExec, ExecEngine, ExecMode};
@@ -63,14 +64,13 @@ use crate::slice::SlicePlan;
 use crate::stats::SegmentStats;
 use crate::stream::{ResultChunk, RowSink};
 use mpp_common::{
-    bitmap_get, ColumnData, ColumnVec, Datum, Error, MotionId, PartOid, PartScanId, Result, Row,
-    RowBlock, SegmentId, TableOid,
+    Error, MotionId, PartOid, PartScanId, Result, Row, RowBlock, SegmentId, TableOid,
 };
 use mpp_expr::CompiledExpr;
-use mpp_plan::{AggCall, AggFunc, MotionKind, PhysicalPlan};
+use mpp_plan::{MotionKind, PhysicalPlan};
 use mpp_storage::{PhysId, Storage};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -496,15 +496,6 @@ enum FusedSource {
     },
 }
 
-/// The aggregation step of a fused slice (compiled once per stage).
-struct FusedAgg<'p> {
-    positions: Vec<usize>,
-    args: Vec<Option<Arc<CompiledExpr>>>,
-    calls: &'p [AggCall],
-    /// Output width of the HashAgg node.
-    width: usize,
-}
-
 struct FusedSlice<'p> {
     /// Static partition selectors (a `Sequence` prefix), run once per
     /// segment on the driver against the real context.
@@ -514,7 +505,7 @@ struct FusedSlice<'p> {
     /// ride on each enumerated block instead — they can differ per
     /// `Append` child).
     pre_ops: Vec<FusedOp>,
-    agg: Option<FusedAgg<'p>>,
+    agg: Option<AggSpec<'p>>,
     /// Operators above the aggregation; they see at most one chunk per
     /// segment and run on the driver after the merge.
     post_ops: Vec<FusedOp>,
@@ -535,7 +526,7 @@ impl<'p> FusedSlice<'p> {
         let mut cur = node;
         let mut post_rev: Vec<FusedOp> = Vec::new();
         let mut pre_rev: Vec<FusedOp> = Vec::new();
-        let mut agg: Option<FusedAgg<'p>> = None;
+        let mut agg: Option<AggSpec<'p>> = None;
         loop {
             match cur {
                 PhysicalPlan::Filter { pred, child } => {
@@ -568,12 +559,7 @@ impl<'p> FusedSlice<'p> {
                         return None;
                     }
                     let prep = AggExec::prepare(group_by, aggs, &child.output_cols(), ctx).ok()?;
-                    agg = Some(FusedAgg {
-                        positions: prep.positions.clone(),
-                        args: prep.args.clone(),
-                        calls: aggs,
-                        width: cur.output_cols().len(),
-                    });
+                    agg = Some(AggSpec::new(&prep, aggs, cur.output_cols().len()));
                     cur = child;
                 }
                 _ => break,
@@ -817,7 +803,7 @@ fn run_morsel(
     }
     let payload = match &fused.agg {
         Some(agg) => {
-            let mut pa = PartialAgg::new();
+            let mut pa = PartialAgg::new(agg.calls.len());
             if let Some(b) = &cur {
                 pa.absorb(b, agg, &mut stats)?;
             }
@@ -980,7 +966,7 @@ fn run_fused(
             let mut pa = match iter.next() {
                 Some(MorselPayload::Agg(pa)) => *pa,
                 Some(MorselPayload::Blocks(_)) => unreachable!("agg slice yields agg payloads"),
-                None => PartialAgg::new(),
+                None => PartialAgg::new(agg.calls.len()),
             };
             for p in iter {
                 match p {
@@ -1027,650 +1013,15 @@ fn run_fused(
     Ok((per_source, routed))
 }
 
-// ---------------------------------------------------------------------
-// Partial aggregation
-// ---------------------------------------------------------------------
-
-/// Which integer column variant backs a typed key or min/max value.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum IntVar {
-    I32,
-    I64,
-    Date,
-}
-
-impl IntVar {
-    fn of(col: &ColumnVec) -> Option<IntVar> {
-        match col.data() {
-            ColumnData::Int32(_) => Some(IntVar::I32),
-            ColumnData::Int64(_) => Some(IntVar::I64),
-            ColumnData::Date(_) => Some(IntVar::Date),
-            _ => None,
-        }
-    }
-
-    fn datum(self, v: i64) -> Datum {
-        match self {
-            IntVar::I32 => Datum::Int32(v as i32),
-            IntVar::I64 => Datum::Int64(v),
-            IntVar::Date => Datum::Date(v as i32),
-        }
-    }
-}
-
-const F64_EXACT: i128 = 1 << 53;
-
-/// One aggregate call's mergeable partial state. Mirrors the row
-/// engine's accumulator exactly, except that integer sums ride in i128
-/// with running prefix extremes instead of erroring on overflow: a
-/// prefix that ever leaves the i64 range proves the sequential engine
-/// would have errored mid-stream, and the segment re-runs unfused.
-#[derive(Clone)]
-struct PartialAcc {
-    count: i64,
-    non_null: i64,
-    sum_f: f64,
-    sum_is_float: bool,
-    sum_i: i128,
-    min_p: i128,
-    max_p: i128,
-    min: Option<Datum>,
-    max: Option<Datum>,
-    /// Typed fast-path min/max, normalized into `min`/`max` at the end
-    /// of the morsel.
-    min_i: i64,
-    max_i: i64,
-    int_var: Option<IntVar>,
-    /// Non-null values merged from more than one morsel: float sums can
-    /// no longer prove addition-order-exactness.
-    mixed: bool,
-    /// Something the fast path could not mirror exactly; force a re-run.
-    poisoned: bool,
-}
-
-impl PartialAcc {
-    fn new() -> PartialAcc {
-        PartialAcc {
-            count: 0,
-            non_null: 0,
-            sum_f: 0.0,
-            sum_is_float: false,
-            sum_i: 0,
-            min_p: 0,
-            max_p: 0,
-            min: None,
-            max: None,
-            min_i: i64::MAX,
-            max_i: i64::MIN,
-            int_var: None,
-            mixed: false,
-            poisoned: false,
-        }
-    }
-
-    #[inline]
-    fn add_int_sum(&mut self, i: i64) {
-        self.sum_i += i as i128;
-        self.min_p = self.min_p.min(self.sum_i);
-        self.max_p = self.max_p.max(self.sum_i);
-    }
-
-    /// Typed integer observation for Count/Sum/Avg calls (no min/max
-    /// tracking needed — those calls never read it).
-    #[inline]
-    fn observe_int(&mut self, i: i64) {
-        self.count += 1;
-        self.non_null += 1;
-        self.add_int_sum(i);
-    }
-
-    /// Typed integer observation for Min/Max calls.
-    #[inline]
-    fn observe_int_minmax(&mut self, i: i64, var: IntVar) {
-        self.observe_int(i);
-        self.min_i = self.min_i.min(i);
-        self.max_i = self.max_i.max(i);
-        self.int_var = Some(var);
-    }
-
-    /// Exact mirror of the row accumulator's `observe`.
-    fn observe(&mut self, v: Option<Datum>) {
-        self.count += 1;
-        if let Some(v) = v {
-            if !v.is_null() {
-                self.non_null += 1;
-                match &v {
-                    Datum::Float64(f) => {
-                        self.sum_is_float = true;
-                        self.sum_f += f;
-                    }
-                    Datum::Int32(_) | Datum::Int64(_) | Datum::Date(_) => match v.as_i64() {
-                        Ok(i) => {
-                            self.add_int_sum(i);
-                            self.sum_f += i as f64;
-                        }
-                        Err(_) => self.poisoned = true,
-                    },
-                    _ => {}
-                }
-                match &self.min {
-                    Some(m) if &v >= m => {}
-                    _ => self.min = Some(v.clone()),
-                }
-                match &self.max {
-                    Some(m) if &v <= m => {}
-                    _ => self.max = Some(v),
-                }
-            }
-        }
-    }
-
-    /// Fold typed min/max into the datum form (end of morsel).
-    fn normalize(&mut self) {
-        if let Some(var) = self.int_var.take() {
-            if self.min_i <= self.max_i {
-                let lo = var.datum(self.min_i);
-                match &self.min {
-                    Some(m) if &lo >= m => {}
-                    _ => self.min = Some(lo),
-                }
-                let hi = var.datum(self.max_i);
-                match &self.max {
-                    Some(m) if &hi <= m => {}
-                    _ => self.max = Some(hi),
-                }
-            }
-            self.min_i = i64::MAX;
-            self.max_i = i64::MIN;
-        }
-    }
-
-    /// Merge `b` (a later morsel's state, already normalized) into self.
-    fn merge(&mut self, b: PartialAcc) {
-        self.mixed |= b.mixed || (self.non_null > 0 && b.non_null > 0);
-        self.poisoned |= b.poisoned;
-        self.count += b.count;
-        self.non_null += b.non_null;
-        self.sum_is_float |= b.sum_is_float;
-        self.sum_f += b.sum_f;
-        self.min_p = self.min_p.min(self.sum_i + b.min_p);
-        self.max_p = self.max_p.max(self.sum_i + b.max_p);
-        self.sum_i += b.sum_i;
-        if let Some(v) = b.min {
-            match &self.min {
-                Some(m) if &v >= m => {}
-                _ => self.min = Some(v),
-            }
-        }
-        if let Some(v) = b.max {
-            match &self.max {
-                Some(m) if &v <= m => {}
-                _ => self.max = Some(v),
-            }
-        }
-    }
-
-    /// Does finalizing this accumulator for `func` require the exact
-    /// sequential path?
-    fn needs_exact(&self, func: AggFunc) -> bool {
-        if self.poisoned {
-            return true;
-        }
-        // An integer running sum that ever left i64 means the sequential
-        // engine errored mid-accumulation (it checks on every observe,
-        // whatever the call).
-        if self.min_p < i64::MIN as i128 || self.max_p > i64::MAX as i128 {
-            return true;
-        }
-        match func {
-            AggFunc::Sum | AggFunc::Avg => {
-                if self.sum_is_float && self.mixed {
-                    // Cross-morsel float addition is order-sensitive.
-                    return true;
-                }
-                if func == AggFunc::Avg
-                    && !self.sum_is_float
-                    && (self.min_p < -F64_EXACT || self.max_p > F64_EXACT)
-                {
-                    // The sequential f64 fold of these ints may have
-                    // rounded; `sum_i as f64` can't reproduce it.
-                    return true;
-                }
-                false
-            }
-            _ => false,
-        }
-    }
-
-    fn finalize(&self, call: &AggCall) -> Datum {
-        match call.func {
-            AggFunc::Count => match &call.arg {
-                None => Datum::Int64(self.count),
-                Some(_) => Datum::Int64(self.non_null),
-            },
-            AggFunc::Sum => {
-                if self.non_null == 0 {
-                    Datum::Null
-                } else if self.sum_is_float {
-                    Datum::Float64(self.sum_f)
-                } else {
-                    Datum::Int64(self.sum_i as i64)
-                }
-            }
-            AggFunc::Avg => {
-                if self.non_null == 0 {
-                    Datum::Null
-                } else {
-                    let sum = if self.sum_is_float {
-                        self.sum_f
-                    } else {
-                        self.sum_i as f64
-                    };
-                    Datum::Float64(sum / self.non_null as f64)
-                }
-            }
-            AggFunc::Min => self.min.clone().unwrap_or(Datum::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Datum::Null),
-        }
-    }
-}
-
-/// Group-key storage: a typed integer fast path when the single GROUP BY
-/// column is an integer column (bijective with the datum keys the row
-/// engine builds, including first-seen order), or general datum keys.
-enum Keys {
-    Int {
-        var: IntVar,
-        index: HashMap<i64, u32>,
-        keys: Vec<i64>,
-    },
-    General {
-        index: HashMap<Vec<Datum>, u32>,
-        keys: Vec<Vec<Datum>>,
-    },
-}
-
-/// Per-morsel (and, after merging, per-segment) partial aggregation
-/// state. Groups are kept in first-seen order; merging in morsel order
-/// reproduces the sequential engine's group order exactly.
-struct PartialAgg {
-    keys: Keys,
-    groups: Vec<Vec<PartialAcc>>,
-}
-
-enum Finalized {
-    Rows(Vec<Row>),
-    /// Some accumulator can't prove its merged value matches the
-    /// sequential engine — re-run the segment unfused.
-    NeedsExact,
-}
-
-impl PartialAgg {
-    fn new() -> PartialAgg {
-        PartialAgg {
-            keys: Keys::General {
-                index: HashMap::new(),
-                keys: Vec::new(),
-            },
-            groups: Vec::new(),
-        }
-    }
-
-    /// Fold one morsel's block in. Strict columnar argument evaluation
-    /// with a per-morsel row fallback — the same split (and the same
-    /// stats attribution rule) as the unfused HashAgg arm.
-    fn absorb(
-        &mut self,
-        b: &RowBlock,
-        spec: &FusedAgg<'_>,
-        stats: &mut SegmentStats,
-    ) -> Result<()> {
-        let mut argcols: Vec<Option<ColumnVec>> = Vec::with_capacity(spec.args.len());
-        let mut strict = true;
-        for a in &spec.args {
-            match a {
-                None => argcols.push(None),
-                Some(e) => match e.eval_column_strict(b) {
-                    Ok(c) => argcols.push(Some(c)),
-                    Err(_) => {
-                        strict = false;
-                        break;
-                    }
-                },
-            }
-        }
-        if strict {
-            self.absorb_strict(b, spec, &argcols);
-            stats.rows_vectorized += b.len() as u64;
-        } else {
-            self.absorb_rows(b, spec)?;
-            stats.rows_row_fallback += b.len() as u64;
-        }
-        for accs in &mut self.groups {
-            for acc in accs {
-                acc.normalize();
-            }
-        }
-        Ok(())
-    }
-
-    fn absorb_strict(&mut self, b: &RowBlock, spec: &FusedAgg<'_>, argcols: &[Option<ColumnVec>]) {
-        let n_calls = spec.args.len();
-        let slots = self.slot_vector(b, &spec.positions, n_calls);
-        for (j, call) in spec.calls.iter().enumerate() {
-            match &argcols[j] {
-                None => {
-                    for &s in &slots {
-                        self.groups[s as usize][j].count += 1;
-                    }
-                }
-                Some(col) => {
-                    let var = IntVar::of(col);
-                    // Typed integer lanes, null-aware: a NULL slot counts
-                    // the row (`observe(Null)` ≡ `count += 1`) without
-                    // touching sums or extremes; null-free columns keep the
-                    // branch-free inner loop.
-                    macro_rules! lanes {
-                        ($v:expr, $to:expr, $obs:expr) => {{
-                            let v = $v;
-                            let to = $to;
-                            let obs = $obs;
-                            match col.validity() {
-                                None => {
-                                    for (k, &s) in slots.iter().enumerate() {
-                                        obs(&mut self.groups[s as usize][j], to(v[k]));
-                                    }
-                                }
-                                Some(w) => {
-                                    for (k, &s) in slots.iter().enumerate() {
-                                        let acc = &mut self.groups[s as usize][j];
-                                        if bitmap_get(w, k) {
-                                            obs(acc, to(v[k]));
-                                        } else {
-                                            acc.count += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }};
-                    }
-                    match (var, col.data(), call.func) {
-                        (
-                            Some(_),
-                            ColumnData::Int32(v),
-                            AggFunc::Count | AggFunc::Sum | AggFunc::Avg,
-                        ) => lanes!(v, |x: i32| x as i64, |a: &mut PartialAcc, x| a
-                            .observe_int(x)),
-                        (
-                            Some(_),
-                            ColumnData::Int64(v),
-                            AggFunc::Count | AggFunc::Sum | AggFunc::Avg,
-                        ) => lanes!(v, |x: i64| x, |a: &mut PartialAcc, x| a.observe_int(x)),
-                        (
-                            Some(_),
-                            ColumnData::Date(v),
-                            AggFunc::Count | AggFunc::Sum | AggFunc::Avg,
-                        ) => lanes!(v, |x: i32| x as i64, |a: &mut PartialAcc, x| a
-                            .observe_int(x)),
-                        (Some(var), ColumnData::Int32(v), _) => {
-                            lanes!(v, |x: i32| x as i64, |a: &mut PartialAcc, x| a
-                                .observe_int_minmax(x, var))
-                        }
-                        (Some(var), ColumnData::Int64(v), _) => {
-                            lanes!(v, |x: i64| x, |a: &mut PartialAcc, x| a
-                                .observe_int_minmax(x, var))
-                        }
-                        (Some(var), ColumnData::Date(v), _) => {
-                            lanes!(v, |x: i32| x as i64, |a: &mut PartialAcc, x| a
-                                .observe_int_minmax(x, var))
-                        }
-                        _ => {
-                            for (k, &s) in slots.iter().enumerate() {
-                                self.groups[s as usize][j].observe(Some(col.get(k)));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Row-major fallback: mirror `AggExec::observe_row` per row. Errors
-    /// propagate (they trigger the segment re-run, which reproduces
-    /// them in exact order).
-    fn absorb_rows(&mut self, b: &RowBlock, spec: &FusedAgg<'_>) -> Result<()> {
-        for k in 0..b.len() {
-            let row = b.row_at_phys(b.phys_index(k));
-            let key: Vec<Datum> = spec
-                .positions
-                .iter()
-                .map(|&i| row.values()[i].clone())
-                .collect();
-            let s = self.general_slot(key, spec.args.len());
-            for (j, arg) in spec.args.iter().enumerate() {
-                let v = match arg {
-                    None => None,
-                    Some(e) => Some(e.eval(&row)?),
-                };
-                self.groups[s as usize][j].observe(v);
-            }
-        }
-        Ok(())
-    }
-
-    /// Group slots for every row of the block, choosing the typed key
-    /// representation when the single group column is an integer column.
-    fn slot_vector(&mut self, b: &RowBlock, positions: &[usize], n_calls: usize) -> Vec<u32> {
-        if positions.len() == 1 {
-            let p = positions[0];
-            if let Some(col) = b.columns().get(p) {
-                // NULL group keys need datum identity — only null-free
-                // integer columns take the typed-key fast path.
-                if let (Some(var), None) = (IntVar::of(col), col.validity()) {
-                    self.keys = Keys::Int {
-                        var,
-                        index: HashMap::new(),
-                        keys: Vec::new(),
-                    };
-                    return match col.data() {
-                        ColumnData::Int32(v) => self.int_slots(b, |p| v[p] as i64, n_calls),
-                        ColumnData::Int64(v) => self.int_slots(b, |p| v[p], n_calls),
-                        ColumnData::Date(v) => self.int_slots(b, |p| v[p] as i64, n_calls),
-                        _ => unreachable!("IntVar::of matched an int column"),
-                    };
-                }
-            }
-        }
-        let n = b.len();
-        let mut slots = Vec::with_capacity(n);
-        for k in 0..n {
-            let key: Vec<Datum> = positions.iter().map(|&p| b.datum_at(k, p)).collect();
-            slots.push(self.general_slot(key, n_calls));
-        }
-        slots
-    }
-
-    fn int_slots<F: Fn(usize) -> i64>(&mut self, b: &RowBlock, get: F, n_calls: usize) -> Vec<u32> {
-        let Keys::Int { index, keys, .. } = &mut self.keys else {
-            unreachable!("int_slots follows Keys::Int setup");
-        };
-        let n = b.len();
-        let mut slots = Vec::with_capacity(n);
-        for k in 0..n {
-            let key = get(b.phys_index(k));
-            let slot = match index.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let i = keys.len() as u32;
-                    keys.push(key);
-                    self.groups.push(vec![PartialAcc::new(); n_calls]);
-                    e.insert(i);
-                    i
-                }
-            };
-            slots.push(slot);
-        }
-        slots
-    }
-
-    fn general_slot(&mut self, key: Vec<Datum>, n_calls: usize) -> u32 {
-        if let Keys::Int { .. } = self.keys {
-            self.degrade();
-        }
-        let Keys::General { index, keys } = &mut self.keys else {
-            unreachable!("degraded to general keys");
-        };
-        match index.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let i = keys.len() as u32;
-                keys.push(e.key().clone());
-                self.groups.push(vec![PartialAcc::new(); n_calls]);
-                e.insert(i);
-                i
-            }
-        }
-    }
-
-    /// Convert typed integer keys to datum keys (order preserved).
-    fn degrade(&mut self) {
-        if let Keys::Int { var, keys, .. } = &self.keys {
-            let var = *var;
-            let keys: Vec<Vec<Datum>> = keys.iter().map(|&k| vec![var.datum(k)]).collect();
-            let index = keys
-                .iter()
-                .enumerate()
-                .map(|(i, k)| (k.clone(), i as u32))
-                .collect();
-            self.keys = Keys::General { index, keys };
-        }
-    }
-
-    /// Merge a later morsel's state in (morsel order).
-    fn merge(&mut self, other: PartialAgg) {
-        match (&mut self.keys, other.keys) {
-            (
-                Keys::Int { var, index, keys },
-                Keys::Int {
-                    var: var2,
-                    keys: keys2,
-                    ..
-                },
-            ) if *var == var2 => {
-                for (gi, key) in keys2.into_iter().enumerate() {
-                    let slot = match index.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            let i = keys.len() as u32;
-                            keys.push(key);
-                            self.groups.push(Vec::new());
-                            e.insert(i);
-                            i
-                        }
-                    };
-                    merge_group(&mut self.groups[slot as usize], other.groups[gi].clone());
-                }
-            }
-            (_, other_keys) => {
-                self.degrade();
-                let other_general = {
-                    let mut tmp = PartialAgg {
-                        keys: other_keys,
-                        groups: other.groups,
-                    };
-                    tmp.degrade();
-                    tmp
-                };
-                let Keys::General { index, keys } = &mut self.keys else {
-                    unreachable!("degraded to general keys");
-                };
-                let Keys::General { keys: keys2, .. } = other_general.keys else {
-                    unreachable!("degraded to general keys");
-                };
-                for (gi, key) in keys2.into_iter().enumerate() {
-                    let slot = match index.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            let i = keys.len() as u32;
-                            keys.push(e.key().clone());
-                            self.groups.push(Vec::new());
-                            e.insert(i);
-                            i
-                        }
-                    };
-                    merge_group(
-                        &mut self.groups[slot as usize],
-                        other_general.groups[gi].clone(),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Emit output rows (first-seen group order), mirroring
-    /// `AggExec::finalize` — including the scalar-aggregate default row
-    /// on segment 0 over empty input.
-    fn finalize(&self, spec: &FusedAgg<'_>, seg: SegmentId) -> Finalized {
-        let scalar = match &self.keys {
-            Keys::Int { keys, .. } => keys.is_empty() && spec.positions.is_empty(),
-            Keys::General { keys, .. } => keys.is_empty() && spec.positions.is_empty(),
-        };
-        if scalar && self.groups.is_empty() {
-            if seg != SegmentId(0) {
-                return Finalized::Rows(Vec::new());
-            }
-            let vals: Vec<Datum> = spec
-                .calls
-                .iter()
-                .map(|call| match call.func {
-                    AggFunc::Count => Datum::Int64(0),
-                    _ => Datum::Null,
-                })
-                .collect();
-            return Finalized::Rows(vec![Row::new(vals)]);
-        }
-        for accs in &self.groups {
-            for (acc, call) in accs.iter().zip(spec.calls) {
-                if acc.needs_exact(call.func) {
-                    return Finalized::NeedsExact;
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(self.groups.len());
-        for (gi, accs) in self.groups.iter().enumerate() {
-            let mut vals: Vec<Datum> = match &self.keys {
-                Keys::Int { var, keys, .. } => vec![var.datum(keys[gi])],
-                Keys::General { keys, .. } => keys[gi].clone(),
-            };
-            for (acc, call) in accs.iter().zip(spec.calls) {
-                vals.push(acc.finalize(call));
-            }
-            out.push(Row::new(vals));
-        }
-        Finalized::Rows(out)
-    }
-}
-
-fn merge_group(into: &mut Vec<PartialAcc>, from: Vec<PartialAcc>) {
-    if into.is_empty() {
-        *into = from;
-        return;
-    }
-    debug_assert_eq!(into.len(), from.len());
-    for (a, b) in into.iter_mut().zip(from) {
-        a.merge(b);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{execute_with_params_sched, QueryResult};
     use mpp_catalog::{Catalog, Distribution, TableDesc};
     use mpp_common::value::ArithOp;
-    use mpp_common::{row, Column, DataType, Schema};
+    use mpp_common::{row, Column, DataType, Datum, Schema};
     use mpp_expr::{CmpOp, ColRef, Expr};
-    use mpp_plan::AggCall;
+    use mpp_plan::{AggCall, AggFunc};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1705,6 +1056,50 @@ mod tests {
             .collect();
         run_tasks(1, tasks);
         assert_eq!(*order.lock(), vec![0, 1, 2, 3, 4]);
+    }
+
+    /// No worker idles while unclaimed tasks remain: task 0 occupies
+    /// worker 0 until every other task has completed, and half of those
+    /// sit in worker 0's own deque — they can only complete if the other
+    /// workers steal them. Deterministic (a latch, not a clock); the wait
+    /// is bounded so a scheduler that does not steal fails instead of
+    /// hanging.
+    #[test]
+    fn idle_workers_steal_queued_tasks() {
+        use std::sync::{Condvar, Mutex as StdMutex};
+        use std::time::Duration;
+        for workers in [2usize, 3] {
+            let n = 12usize;
+            let done = StdMutex::new(0usize);
+            let all_done = Condvar::new();
+            let tasks: Vec<_> = (0..n)
+                .map(|i| {
+                    let (done, all_done) = (&done, &all_done);
+                    boxed(move || {
+                        if i > 0 {
+                            *done.lock().unwrap() += 1;
+                            all_done.notify_all();
+                            return true;
+                        }
+                        let (_guard, timeout) = all_done
+                            .wait_timeout_while(
+                                done.lock().unwrap(),
+                                Duration::from_secs(60),
+                                |d| *d < n - 1,
+                            )
+                            .unwrap();
+                        !timeout.timed_out()
+                    })
+                })
+                .collect();
+            let out = run_tasks(workers, tasks);
+            assert_eq!(
+                out[0],
+                Some(true),
+                "workers={workers}: tasks queued behind the blocked worker were never stolen"
+            );
+            assert!(out.iter().all(|r| *r == Some(true)), "workers={workers}");
+        }
     }
 
     #[test]

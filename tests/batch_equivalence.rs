@@ -388,3 +388,330 @@ fn dml_on_batch_session_falls_back_to_row_engine() {
         &[Datum::Int64(40), Datum::Int64(want)]
     );
 }
+
+// ---------------------------------------------------------------------
+// The typed aggregation kernel behind `exec_block`'s HashAgg arm
+// ---------------------------------------------------------------------
+
+/// Bit-identical comparison of the block engine's aggregation arm
+/// against the row engine over *multi-chunk* inputs: rows in order, datum
+/// variants, `f64` bits, error messages and the scan / motion counters.
+///
+/// Mutation-checked: each of these, applied alone, fails
+/// `agg_arm_is_bit_identical_to_row_engine` — keep typed keys when a
+/// later block brings another key variant (drop the degrade); emit groups
+/// in reverse of first-seen order; fold a block's values back to front
+/// (float sums accumulate in a different order); fold typed min/max into
+/// the datum form only at finalize; let a float sum that also took typed
+/// ints finalize; surface the kernel's own absorb error instead of
+/// replaying the chunks through `AggExec`.
+mod agg_arm {
+    use super::*;
+    use mppart::common::value::ArithOp;
+    use mppart::common::Row;
+    use mppart::executor::{execute_with_params_engine, QueryResult};
+    use mppart::expr::{ColRef, Expr};
+    use mppart::plan::{AggCall, AggFunc, PhysicalPlan};
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        I32,
+        I64,
+        Date,
+        F64,
+    }
+
+    impl Kind {
+        fn datum(self, v: i64) -> Datum {
+            match self {
+                Kind::I32 => Datum::Int32(v as i32),
+                Kind::I64 => Datum::Int64(v),
+                Kind::Date => Datum::Date(v as i32),
+                Kind::F64 => Datum::Float64(v as f64),
+            }
+        }
+    }
+
+    /// One row: `(k1, k2, x, f, z)`; `None` = NULL.
+    type GenRow = (Option<i64>, i64, Option<i64>, Option<f64>, i64);
+
+    /// One chunk of input: the column variants it arrives in and its rows.
+    #[derive(Debug, Clone)]
+    struct Chunk {
+        k1: Kind,
+        k2: Kind,
+        x: Kind,
+        rows: Vec<GenRow>,
+    }
+
+    const HUGE: i64 = i64::MAX / 2 + 1;
+    const INT_KINDS: [Kind; 3] = [Kind::I32, Kind::I64, Kind::Date];
+
+    /// Raw draws for one row / one chunk (the vendored proptest has no
+    /// weighted or dependent strategies, so the weighting is in `decode`).
+    type RawRow = (u8, i64, u8, i64, u8, f64, i64);
+    type RawChunk = ((usize, usize, usize), (u8, u8, u8), Vec<RawRow>);
+
+    fn arb_chunks() -> impl Strategy<Value = Vec<RawChunk>> {
+        let row = (
+            0u8..8,
+            0i64..3,
+            0u8..10,
+            -50i64..50,
+            0u8..8,
+            0f64..1.0,
+            0i64..4,
+        );
+        let chunk = (
+            (0usize..15, 0usize..15, 0usize..16),
+            (0u8..4, 0u8..7, 0u8..3),
+            proptest::collection::vec(row, 0..10),
+        );
+        proptest::collection::vec(chunk, 0..6)
+    }
+
+    impl Chunk {
+        /// Chunks mostly arrive in the case's base variants (typed keys
+        /// survive several chunks) and now and then flip one (a later
+        /// chunk degrades a typed start, or a float lane follows an int
+        /// lane); a quarter carry NULL keys, some a zero divisor (a
+        /// row-fallback chunk, which errors) or sum-overflowing values.
+        fn decode(raw: &RawChunk, base: (usize, usize, usize)) -> Chunk {
+            let ((f1, f2, fx), (null_keys, zeros, huge), rows) = raw;
+            let pick = |flip: usize, base: usize| INT_KINDS[if flip < 3 { flip } else { base }];
+            let x = if *fx == 3 {
+                Kind::F64
+            } else {
+                pick(*fx, base.2)
+            };
+            let (null_keys, zeros, huge) = (*null_keys == 0, *zeros == 0, *huge == 0);
+            let rows = rows
+                .iter()
+                .map(|&(k1, k2, xp, xs, fp, fu, z)| {
+                    let k1 = (!(null_keys && k1 >= 6)).then_some(k1 as i64 % 4);
+                    let xv = match xp {
+                        0 => None,
+                        1..=3 if huge && x == Kind::I64 => Some(HUGE),
+                        _ => Some(xs),
+                    };
+                    let fv = match fp {
+                        0 => None,
+                        1..=3 => Some(-1e3 + fu * 2e3),
+                        4 | 5 => Some(1e12 + fu * 9e12),
+                        _ => Some(0.1),
+                    };
+                    (k1, k2, xv, fv, if zeros { z } else { z.max(1) })
+                })
+                .collect();
+            Chunk {
+                k1: pick(*f1, base.0),
+                k2: pick(*f2, base.1),
+                x,
+                rows,
+            }
+        }
+
+        fn datums(&self) -> Vec<Vec<Datum>> {
+            self.rows
+                .iter()
+                .map(|&(k1, k2, x, f, z)| {
+                    vec![
+                        k1.map_or(Datum::Null, |v| self.k1.datum(v)),
+                        self.k2.datum(k2),
+                        x.map_or(Datum::Null, |v| self.x.datum(v)),
+                        f.map_or(Datum::Null, Datum::Float64),
+                        Datum::Int32(z as i32),
+                    ]
+                })
+                .collect()
+        }
+    }
+
+    fn cols() -> Vec<ColRef> {
+        ["k1", "k2", "x", "f", "z"]
+            .iter()
+            .enumerate()
+            .map(|(i, n)| ColRef::new(i as u32 + 1, *n))
+            .collect()
+    }
+
+    const FUNCS: [AggFunc; 5] = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+    ];
+
+    /// `(function, argument)` picks: argument 0 = `x`, 1 = `f`,
+    /// 2 = `100 / z`, 3 = none (`count(*)`).
+    fn arb_calls() -> impl Strategy<Value = Vec<(usize, usize)>> {
+        proptest::collection::vec((0usize..5, 0usize..4), 1..5)
+    }
+
+    fn agg_calls(picks: &[(usize, usize)]) -> Vec<AggCall> {
+        let c = cols();
+        picks
+            .iter()
+            .map(|&(func, arg)| match arg {
+                0 => AggCall::new(FUNCS[func], Expr::col(c[2].clone())),
+                1 => AggCall::new(FUNCS[func], Expr::col(c[3].clone())),
+                2 => AggCall::new(
+                    FUNCS[func],
+                    Expr::Arith {
+                        op: ArithOp::Div,
+                        left: Box::new(Expr::lit(Datum::Int64(100))),
+                        right: Box::new(Expr::col(c[4].clone())),
+                    },
+                ),
+                _ => AggCall::count_star(),
+            })
+            .collect()
+    }
+
+    fn sql_calls(picks: &[(usize, usize)]) -> Vec<String> {
+        picks
+            .iter()
+            .map(|&(func, arg)| {
+                let f = ["COUNT", "SUM", "AVG", "MIN", "MAX"][func];
+                match arg {
+                    0 => format!("{f}(x)"),
+                    1 => format!("{f}(f)"),
+                    2 => format!("{f}(100 / z)"),
+                    _ => "COUNT(*)".to_string(),
+                }
+            })
+            .collect()
+    }
+
+    /// Rows rendered so that datum variants and float bits both count.
+    fn render(rows: &[Row]) -> Vec<String> {
+        rows.iter()
+            .map(|r| {
+                let vals: Vec<String> = r
+                    .values()
+                    .iter()
+                    .map(|d| match d {
+                        Datum::Float64(f) => format!("Float64({:#018x})", f.to_bits()),
+                        d => format!("{d:?}"),
+                    })
+                    .collect();
+                vals.join(", ")
+            })
+            .collect()
+    }
+
+    fn assert_identical(
+        batch: mppart::common::Result<QueryResult>,
+        row: mppart::common::Result<QueryResult>,
+        what: &str,
+    ) -> Result<(), TestCaseError> {
+        match (batch, row) {
+            (Ok(b), Ok(r)) => {
+                prop_assert_eq!(render(&b.rows), render(&r.rows), "rows of {}", what);
+                prop_assert_eq!(&b.stats.parts_scanned, &r.stats.parts_scanned, "{}", what);
+                prop_assert_eq!(b.stats.tuples_scanned, r.stats.tuples_scanned, "{}", what);
+                prop_assert_eq!(b.stats.rows_moved, r.stats.rows_moved, "{}", what);
+            }
+            (Err(b), Err(r)) => prop_assert_eq!(b.to_string(), r.to_string(), "{}", what),
+            (b, r) => {
+                return Err(TestCaseError::fail(format!(
+                    "engines disagree on success for {what}: batch={:?} row={:?}",
+                    b.map(|o| render(&o.rows)),
+                    r.map(|o| render(&o.rows))
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn agg_arm_is_bit_identical_to_row_engine(
+            raw in arb_chunks(),
+            base in (0usize..3, 0usize..3, 0usize..3),
+            picks in arb_calls(),
+            n_keys in 0usize..3,
+            segs in 1usize..4,
+        ) {
+            // Leg 1: a hand-built `HashAgg(Append[Values..])`. Each
+            // non-empty `Values` is one chunk on segment 0 in exactly the
+            // generated column variants; every other segment aggregates
+            // empty input (and an all-empty case puts the scalar default
+            // row on segment 0 only).
+            let chunks: Vec<Chunk> = raw.iter().map(|r| Chunk::decode(r, base)).collect();
+            let c = cols();
+            let calls = agg_calls(&picks);
+            let mut output: Vec<ColRef> = c[..n_keys].to_vec();
+            output.extend((0..calls.len()).map(|i| ColRef::new(10 + i as u32, "agg")));
+            let plan = PhysicalPlan::HashAgg {
+                group_by: c[..n_keys].to_vec(),
+                aggs: calls,
+                output,
+                child: Box::new(PhysicalPlan::Append {
+                    output: c.clone(),
+                    children: chunks
+                        .iter()
+                        .map(|ch| PhysicalPlan::Values { rows: ch.datums(), output: c.clone() })
+                        .collect(),
+                }),
+            };
+            let db = MppDb::new(segs);
+            for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+                let run = |engine| execute_with_params_engine(db.storage(), &plan, &[], mode, engine);
+                assert_identical(
+                    run(ExecEngine::Batch),
+                    run(ExecEngine::Row),
+                    &format!("{mode:?} values plan"),
+                )?;
+            }
+
+            // Leg 2: the same rows in a stored table, one range partition
+            // per chunk, through SQL: the aggregate sits above a Motion,
+            // its input is one chunk per (segment, partition), and the
+            // scan / motion counters are live. Segments the hash
+            // distribution leaves empty — segment 0 included — aggregate
+            // empty input.
+            let keys = ["", "k1", "k1, k2"][n_keys];
+            let select: Vec<String> =
+                keys.split(", ").filter(|k| !k.is_empty()).map(String::from)
+                    .chain(sql_calls(&picks)).collect();
+            let mut sql = format!("SELECT {} FROM t", select.join(", "));
+            if n_keys > 0 {
+                sql.push_str(&format!(" GROUP BY {keys}"));
+            }
+            let mk = |engine| {
+                let db = MppDb::new(segs).with_exec_engine(engine);
+                db.sql("CREATE TABLE t (p INT, k1 INT, k2 BIGINT, x BIGINT, f FLOAT8, z INT) \
+                        DISTRIBUTED BY (k2) \
+                        PARTITION BY RANGE (p) (START (0) END (6) EVERY (1))").unwrap();
+                let t = db.catalog().table_by_name("t").unwrap().oid;
+                for (p, ch) in chunks.iter().enumerate() {
+                    let typed = Chunk { k1: Kind::I32, k2: Kind::I64, x: Kind::I64, ..ch.clone() };
+                    db.storage().insert(t, typed.datums().into_iter().map(|mut vals| {
+                        vals.insert(0, Datum::Int32(p as i32));
+                        Row::new(vals)
+                    })).unwrap();
+                }
+                db
+            };
+            let (batch, row) = (mk(ExecEngine::Batch), mk(ExecEngine::Row));
+            for planner in [Planner::Orca, Planner::Legacy] {
+                assert_identical(
+                    batch.run_sql(&sql, &[], planner).map(into_result),
+                    row.run_sql(&sql, &[], planner).map(into_result),
+                    &format!("{sql} ({planner:?})"),
+                )?;
+            }
+        }
+    }
+
+    fn into_result(o: mppart::QueryOutcome) -> QueryResult {
+        QueryResult {
+            rows: o.rows,
+            stats: o.stats,
+        }
+    }
+}
