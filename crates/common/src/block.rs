@@ -416,7 +416,7 @@ impl ColumnVec {
     }
 
     /// A copy of this column in the `Any` representation — the degraded
-    /// pre-validity-bitmap form. Benchmark and testing aid.
+    /// pre-validity-bitmap form. Testing aid.
     pub fn degraded(&self) -> ColumnVec {
         let mut c = self.clone();
         c.degrade();
@@ -831,7 +831,8 @@ impl RowBlock {
     }
 
     /// A copy of this block with every column degraded to the `Any`
-    /// representation (the pre-validity-bitmap form). Benchmark aid.
+    /// representation (the pre-validity-bitmap form): the reference the
+    /// typed kernels are tested against.
     pub fn degraded(&self) -> RowBlock {
         RowBlock {
             columns: self

@@ -6,12 +6,16 @@
 //! materializes its child once for **all** segments and hands each target
 //! segment its share.
 //!
-//! Two drivers run the per-segment interpreter (see [`ExecMode`]):
-//! sequential (one thread interprets every segment in turn, Motions
-//! materialize lazily) and parallel (the plan is cut into slices at
-//! Motion boundaries and every segment's slice runs on its own worker
-//! thread, stage by stage — the process shape of a real MPP executor).
-//! Both produce the same rows and the same merged statistics.
+//! One stage driver runs queries in both [`ExecMode`]s
+//! (`morsel::run_stages_stream`): the plan is cut into slices at Motion
+//! boundaries, every Motion stage materializes eagerly, children before
+//! parents, and each stage's per-segment work runs on the work-stealing
+//! scheduler. The modes differ only in worker count: Sequential is that
+//! scheduler with one worker (tasks drain in segment order on the
+//! calling thread), Parallel has one worker per segment. Both produce
+//! the same rows and the same merged statistics. Only DML and init
+//! plans, which run before the stages are frozen, let a Motion
+//! materialize lazily on first access.
 
 use crate::context::ExecContext;
 use crate::morsel::{self, SchedConfig};
@@ -49,16 +53,17 @@ pub enum ExecEngine {
 /// How the simulated cluster's segments execute their plan slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// One driver thread interprets every segment's slice in turn and
-    /// Motions materialize lazily on first access — the original
-    /// single-process interpreter.
+    /// The stage driver with one worker: the calling thread runs every
+    /// segment's slice in turn, stage by stage over the Motion
+    /// boundaries (children before parents), so Motions materialize
+    /// eagerly before the slices reading them run. A root Gather is the
+    /// one exception: its child's output streams to the sink segment by
+    /// segment instead of being materialized first.
     #[default]
     Sequential,
-    /// One worker thread per segment, stage by stage over the Motion
-    /// boundaries (children before parents), so every Motion input is
-    /// materialized before the slices reading it run. Rows and merged
-    /// statistics are identical to [`ExecMode::Sequential`]; only the
-    /// per-segment `elapsed` breakdown differs.
+    /// The same stage driver with one worker per segment. Rows and
+    /// merged statistics are identical to [`ExecMode::Sequential`]; only
+    /// the per-segment `elapsed` breakdown differs.
     Parallel,
 }
 
@@ -69,71 +74,9 @@ pub struct QueryResult {
     pub stats: ExecutionStats,
 }
 
-/// Convenience wrapper owning the storage handle.
-pub struct Executor {
-    storage: Storage,
-    mode: ExecMode,
-    engine: ExecEngine,
-}
-
-impl Executor {
-    pub fn new(storage: Storage) -> Executor {
-        Executor {
-            storage,
-            mode: ExecMode::Sequential,
-            engine: ExecEngine::default(),
-        }
-    }
-
-    pub fn with_mode(storage: Storage, mode: ExecMode) -> Executor {
-        Executor {
-            storage,
-            mode,
-            engine: ExecEngine::default(),
-        }
-    }
-
-    pub fn set_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
-    }
-
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    pub fn set_engine(&mut self, engine: ExecEngine) {
-        self.engine = engine;
-    }
-
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
-    }
-
-    pub fn storage(&self) -> &Storage {
-        &self.storage
-    }
-
-    pub fn run(&self, plan: &PhysicalPlan) -> Result<QueryResult> {
-        execute_with_params_engine(&self.storage, plan, &[], self.mode, self.engine)
-    }
-
-    pub fn run_with_params(&self, plan: &PhysicalPlan, params: &[Datum]) -> Result<QueryResult> {
-        execute_with_params_engine(&self.storage, plan, params, self.mode, self.engine)
-    }
-}
-
 /// Execute a plan with no parameters (sequentially).
 pub fn execute(storage: &Storage, plan: &PhysicalPlan) -> Result<QueryResult> {
     execute_with_params_mode(storage, plan, &[], ExecMode::Sequential)
-}
-
-/// Execute a plan with prepared-statement parameters bound (sequentially).
-pub fn execute_with_params(
-    storage: &Storage,
-    plan: &PhysicalPlan,
-    params: &[Datum],
-) -> Result<QueryResult> {
-    execute_with_params_mode(storage, plan, params, ExecMode::Sequential)
 }
 
 /// Execute a plan with no parameters under the given [`ExecMode`].
@@ -149,7 +92,7 @@ pub fn execute_with_params_mode(
     params: &[Datum],
     mode: ExecMode,
 ) -> Result<QueryResult> {
-    run_plan(storage, plan, params, mode, ExecEngine::default(), None)
+    execute_with_params_engine(storage, plan, params, mode, ExecEngine::default())
 }
 
 /// Execute with full control over mode and [`ExecEngine`].
@@ -160,7 +103,7 @@ pub fn execute_with_params_engine(
     mode: ExecMode,
     engine: ExecEngine,
 ) -> Result<QueryResult> {
-    run_plan(storage, plan, params, mode, engine, None)
+    execute_with_params_sched(storage, plan, params, mode, engine, &SchedConfig::default())
 }
 
 /// Execute with full control over mode, [`ExecEngine`] and the morsel
@@ -176,31 +119,12 @@ pub fn execute_with_params_sched(
     run_plan_sched(storage, plan, params, mode, engine, None, sched)
 }
 
-/// The shared driver behind ad-hoc and prepared execution: the optional
-/// [`CompiledCache`] carries a prepared plan's expression templates.
-pub(crate) fn run_plan(
-    storage: &Storage,
-    plan: &PhysicalPlan,
-    params: &[Datum],
-    mode: ExecMode,
-    engine: ExecEngine,
-    cache: Option<&CompiledCache>,
-) -> Result<QueryResult> {
-    run_plan_sched(
-        storage,
-        plan,
-        params,
-        mode,
-        engine,
-        cache,
-        &SchedConfig::default(),
-    )
-}
-
-/// The collecting driver: one streaming execution whose sink appends
-/// every chunk to a row vector. This is the *only* way a materialized
-/// `Vec<Row>` is ever produced — streaming and collecting execution
-/// share one implementation.
+/// The collecting driver behind ad-hoc and prepared execution (the
+/// optional [`CompiledCache`] carries a prepared plan's expression
+/// templates): one streaming execution whose sink appends every chunk to
+/// a row vector. This is the *only* way a materialized `Vec<Row>` is ever
+/// produced — streaming and collecting execution share one
+/// implementation.
 pub(crate) fn run_plan_sched(
     storage: &Storage,
     plan: &PhysicalPlan,
@@ -1713,12 +1637,14 @@ mod tests {
                 }),
             }),
         };
-        let res = execute_with_params(&st, &plan, &[Datum::Int32(42)]).unwrap();
+        let res = execute_with_params_mode(&st, &plan, &[Datum::Int32(42)], ExecMode::Sequential)
+            .unwrap();
         assert_eq!(res.rows.len(), 1);
         assert_eq!(res.rows[0], row![42, 42]);
         assert_eq!(res.stats.parts_scanned_for(r), 1);
         // A different binding selects a different partition.
-        let res = execute_with_params(&st, &plan, &[Datum::Int32(7)]).unwrap();
+        let res =
+            execute_with_params_mode(&st, &plan, &[Datum::Int32(7)], ExecMode::Sequential).unwrap();
         assert_eq!(res.rows[0], row![7, 7]);
     }
 

@@ -46,12 +46,11 @@ mod motion_tests;
 
 pub use context::ExecContext;
 pub use exec::{
-    execute, execute_mode, execute_stream_sched, execute_with_params, execute_with_params_engine,
-    execute_with_params_mode, execute_with_params_sched, ExecEngine, ExecMode, Executor,
-    QueryResult,
+    execute, execute_mode, execute_stream_sched, execute_with_params_engine,
+    execute_with_params_mode, execute_with_params_sched, ExecEngine, ExecMode, QueryResult,
 };
-pub use morsel::{SchedConfig, SchedPolicy};
-pub use prepared::{execute_prepared, CompiledCache, PreparedPlan};
+pub use morsel::SchedConfig;
+pub use prepared::{CompiledCache, PreparedPlan};
 pub use slice::SlicePlan;
 pub use stats::{ExecutionStats, SegmentStats};
 pub use stream::{CancelToken, ResultChunk, RowSink, StreamResult};

@@ -10,9 +10,7 @@
 //!
 //! For the row engine — and for block-engine slices whose shape doesn't
 //! fuse — a task is "one segment's slice", matching the old per-segment
-//! thread model ([`SchedPolicy::PerSegment`] forces this decomposition,
-//! and is the baseline the skew benchmark measures against). For
-//! block-engine slices of the shape
+//! thread model. For block-engine slices of the shape
 //!
 //! ```text
 //! (Filter|Project)* [HashAgg] (Filter|Project)*
@@ -75,18 +73,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How a stage's work is decomposed into scheduler tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedPolicy {
-    /// Fuse eligible block-engine slices into per-morsel pipeline tasks;
-    /// everything else falls back to one task per segment.
-    #[default]
-    Morsel,
-    /// Always one task per segment — the old one-thread-per-segment
-    /// model, kept as the benchmark baseline and as an escape hatch.
-    PerSegment,
-}
-
 /// Scheduler configuration. Not part of any plan-cache key: it changes
 /// how a plan executes, never what it computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,7 +80,6 @@ pub struct SchedConfig {
     /// Worker count; `None` derives it from the mode (Sequential → 1,
     /// Parallel → one per segment).
     pub workers: Option<usize>,
-    pub policy: SchedPolicy,
     /// Maximum logical rows per morsel.
     pub morsel_rows: usize,
 }
@@ -103,7 +88,6 @@ impl Default for SchedConfig {
     fn default() -> SchedConfig {
         SchedConfig {
             workers: None,
-            policy: SchedPolicy::default(),
             morsel_rows: 4096,
         }
     }
@@ -350,10 +334,8 @@ fn run_stages_blocks(
 ) -> Result<u64> {
     let run_slice =
         |node: &PhysicalPlan, preroute: bool| -> Result<(Vec<Vec<RowBlock>>, Vec<RowBlock>)> {
-            if matches!(sched.policy, SchedPolicy::Morsel) {
-                if let Some(fused) = FusedSlice::analyze(node, ctx) {
-                    return run_fused(&fused, storage, ctx, workers, segs, sched, preroute);
-                }
+            if let Some(fused) = FusedSlice::analyze(node, ctx) {
+                return run_fused(&fused, storage, ctx, workers, segs, sched, preroute);
             }
             let pairs = run_per_segment(workers, segs, |seg| {
                 let t0 = Instant::now();
@@ -406,11 +388,7 @@ fn run_stages_blocks(
         // invocations produce the same morsel decomposition, merge order
         // and stats as one all-segments invocation — only the scheduling
         // envelope shrinks.
-        let fused = if matches!(sched.policy, SchedPolicy::Morsel) {
-            FusedSlice::analyze(child, ctx)
-        } else {
-            None
-        };
+        let fused = FusedSlice::analyze(child, ctx);
         let mut counts = Vec::with_capacity(segs.len());
         let mut total = 0u64;
         for &seg in segs {
@@ -1239,16 +1217,25 @@ mod tests {
         execute_with_params_sched(st, plan, &[], mode, ExecEngine::Batch, sched)
     }
 
+    /// The row engine, sequentially: the semantic reference every block
+    /// schedule must reproduce (rows, error text, overflow behaviour).
+    fn reference(st: &Storage, plan: &PhysicalPlan) -> Result<QueryResult> {
+        execute_with_params_sched(
+            st,
+            plan,
+            &[],
+            ExecMode::Sequential,
+            ExecEngine::Row,
+            &SchedConfig::default(),
+        )
+    }
+
     fn all_scheds() -> Vec<SchedConfig> {
-        let mut out = vec![SchedConfig {
-            policy: SchedPolicy::PerSegment,
-            ..SchedConfig::default()
-        }];
+        let mut out = vec![SchedConfig::default()];
         for workers in [1, 2, 4, 8] {
             for morsel_rows in [3, 4096] {
                 out.push(SchedConfig {
                     workers: Some(workers),
-                    policy: SchedPolicy::Morsel,
                     morsel_rows,
                 });
             }
@@ -1279,16 +1266,7 @@ mod tests {
                 AggCall::new(AggFunc::Avg, Expr::col(cr(1, "a"))),
             ],
         );
-        let baseline = run(
-            &st,
-            &plan,
-            ExecMode::Sequential,
-            &SchedConfig {
-                policy: SchedPolicy::PerSegment,
-                ..SchedConfig::default()
-            },
-        )
-        .unwrap();
+        let baseline = reference(&st, &plan).unwrap();
         let want_rows = sorted_rows(baseline);
         for mode in [ExecMode::Sequential, ExecMode::Parallel] {
             for sched in all_scheds() {
@@ -1315,18 +1293,7 @@ mod tests {
                 child: Box::new(scan(t, None)),
             }),
         };
-        let want = sorted_rows(
-            run(
-                &st,
-                &plan,
-                ExecMode::Sequential,
-                &SchedConfig {
-                    policy: SchedPolicy::PerSegment,
-                    ..SchedConfig::default()
-                },
-            )
-            .unwrap(),
-        );
+        let want = sorted_rows(reference(&st, &plan).unwrap());
         assert_eq!(want.len(), 60);
         for sched in all_scheds() {
             let got = run(&st, &plan, ExecMode::Parallel, &sched).unwrap();
@@ -1369,16 +1336,7 @@ mod tests {
                 child: Box::new(scan(t, None)),
             }),
         };
-        let want = run(
-            &st,
-            &plan,
-            ExecMode::Sequential,
-            &SchedConfig {
-                policy: SchedPolicy::PerSegment,
-                ..SchedConfig::default()
-            },
-        )
-        .unwrap_err();
+        let want = reference(&st, &plan).unwrap_err();
         for mode in [ExecMode::Sequential, ExecMode::Parallel] {
             for sched in all_scheds() {
                 let got = run(&st, &plan, mode, &sched).unwrap_err();
@@ -1402,16 +1360,7 @@ mod tests {
             None,
             vec![AggCall::new(AggFunc::Sum, Expr::col(cr(1, "a")))],
         );
-        let want = run(
-            &st,
-            &plan,
-            ExecMode::Sequential,
-            &SchedConfig {
-                policy: SchedPolicy::PerSegment,
-                ..SchedConfig::default()
-            },
-        )
-        .unwrap_err();
+        let want = reference(&st, &plan).unwrap_err();
         assert!(want.to_string().contains("overflow"), "{want}");
         for sched in all_scheds() {
             // morsel_rows == 3 splits the four rows across two morsels.
@@ -1493,18 +1442,7 @@ mod tests {
                 }),
             }),
         };
-        let want = sorted_rows(
-            run(
-                &st,
-                &plan,
-                ExecMode::Sequential,
-                &SchedConfig {
-                    policy: SchedPolicy::PerSegment,
-                    ..SchedConfig::default()
-                },
-            )
-            .unwrap(),
-        );
+        let want = sorted_rows(reference(&st, &plan).unwrap());
         for sched in all_scheds() {
             let got = sorted_rows(run(&st, &plan, ExecMode::Parallel, &sched).unwrap());
             assert_eq!(got, want, "{sched:?}");

@@ -18,7 +18,7 @@
 //! reaches occupy cache space.
 
 use crate::context::ExecContext;
-use crate::exec::{run_plan, run_plan_sched, run_plan_stream, ExecEngine, ExecMode, QueryResult};
+use crate::exec::{run_plan_sched, run_plan_stream, ExecEngine, ExecMode, QueryResult};
 use crate::morsel::SchedConfig;
 use crate::stream::{CancelToken, RowSink, StreamResult};
 use mpp_common::{Datum, Result};
@@ -90,29 +90,9 @@ impl PreparedPlan {
         self.cache.len()
     }
 
-    /// Execute the pinned plan with fresh parameter bindings.
-    pub fn execute(
-        &self,
-        storage: &Storage,
-        params: &[Datum],
-        mode: ExecMode,
-    ) -> Result<QueryResult> {
-        self.execute_engine(storage, params, mode, ExecEngine::default())
-    }
-
-    /// [`PreparedPlan::execute`] with an explicit execution engine.
-    pub fn execute_engine(
-        &self,
-        storage: &Storage,
-        params: &[Datum],
-        mode: ExecMode,
-        engine: ExecEngine,
-    ) -> Result<QueryResult> {
-        run_plan(storage, &self.plan, params, mode, engine, Some(&self.cache))
-    }
-
-    /// [`PreparedPlan::execute_engine`] with an explicit scheduler
-    /// configuration (worker count, decomposition policy, morsel size).
+    /// Execute the pinned plan with fresh parameter bindings under an
+    /// explicit engine and scheduler configuration (worker count, morsel
+    /// size).
     pub fn execute_engine_sched(
         &self,
         storage: &Storage,
@@ -161,16 +141,6 @@ impl PreparedPlan {
     }
 }
 
-/// Free-function form of [`PreparedPlan::execute`].
-pub fn execute_prepared(
-    storage: &Storage,
-    prepared: &PreparedPlan,
-    params: &[Datum],
-    mode: ExecMode,
-) -> Result<QueryResult> {
-    prepared.execute(storage, params, mode)
-}
-
 /// Lower an expression for this execution: through the template cache
 /// when the context carries one (prepared execution), or by direct
 /// compilation (ad-hoc execution, exactly the pre-existing path).
@@ -194,9 +164,24 @@ pub(crate) fn compiled_for(e: &Expr, cols: &[ColRef], ctx: &ExecContext<'_>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_with_params_mode, ExecMode};
+    use crate::exec::execute_with_params_mode;
     use mpp_catalog::Catalog;
     use mpp_expr::{CmpOp, ColRef};
+
+    fn execute(
+        prepared: &PreparedPlan,
+        storage: &Storage,
+        params: &[Datum],
+        mode: ExecMode,
+    ) -> Result<QueryResult> {
+        prepared.execute_engine_sched(
+            storage,
+            params,
+            mode,
+            ExecEngine::default(),
+            &SchedConfig::default(),
+        )
+    }
 
     /// `SELECT * FROM (VALUES 0..10) v(x) WHERE x < $1`.
     fn param_filter_plan() -> Arc<PhysicalPlan> {
@@ -219,7 +204,7 @@ mod tests {
         for mode in [ExecMode::Sequential, ExecMode::Parallel] {
             for n in [0, 3, 10] {
                 let params = [Datum::Int32(n)];
-                let got = prepared.execute(&storage, &params, mode).unwrap();
+                let got = execute(&prepared, &storage, &params, mode).unwrap();
                 let want = execute_with_params_mode(&storage, &plan, &params, mode).unwrap();
                 assert_eq!(got.rows, want.rows, "n={n} mode={mode:?}");
                 assert_eq!(got.rows.len(), n as usize);
@@ -233,14 +218,16 @@ mod tests {
     fn missing_param_still_errors_per_execution() {
         let storage = Storage::new(Catalog::new(), 1);
         let prepared = PreparedPlan::new(param_filter_plan());
-        let err = prepared
-            .execute(&storage, &[], ExecMode::Sequential)
-            .unwrap_err();
+        let err = execute(&prepared, &storage, &[], ExecMode::Sequential).unwrap_err();
         assert!(err.to_string().contains("$1"), "{err}");
         // The same handle still works once the parameter is supplied.
-        let ok = prepared
-            .execute(&storage, &[Datum::Int32(5)], ExecMode::Sequential)
-            .unwrap();
+        let ok = execute(
+            &prepared,
+            &storage,
+            &[Datum::Int32(5)],
+            ExecMode::Sequential,
+        )
+        .unwrap();
         assert_eq!(ok.rows.len(), 5);
     }
 }

@@ -1533,6 +1533,66 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// Validity-bitmap columns against the same block degraded to `Any`
+    /// per-datum columns, at 0/10/50% NULLs: the `filter` and `and_or`
+    /// predicates select identical rows (the typed side without falling
+    /// back), and distribution hashes of the nullable key are
+    /// bit-identical.
+    #[test]
+    fn typed_and_degraded_blocks_agree_across_null_fractions() {
+        let ctx = EvalContext::from_columns(&[ColRef::new(1, "v"), ColRef::new(2, "w")]);
+        let v = || Expr::col(ColRef::new(1, "v"));
+        let w = || Expr::col(ColRef::new(2, "w"));
+        let shapes = [
+            ("filter", Expr::lt(v(), Expr::lit(100i32))),
+            (
+                "and_or",
+                Expr::or(vec![
+                    Expr::and(vec![
+                        Expr::lt(v(), Expr::lit(120i32)),
+                        Expr::gt(w(), Expr::lit(40i32)),
+                    ]),
+                    Expr::IsNull(Box::new(v())),
+                ]),
+            ),
+        ];
+        for null_pct in [0u64, 10, 50] {
+            // splitmix64: a fixed, dependency-free pseudo-random stream.
+            let mut state = 2014 + null_pct;
+            let mut next = move || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let mut cell = || {
+                if next() % 100 < null_pct {
+                    Datum::Null
+                } else {
+                    Datum::Int32((next() % 200) as i32)
+                }
+            };
+            let rows: Vec<Row> = (0..2_000).map(|_| Row::new(vec![cell(), cell()])).collect();
+            let typed = RowBlock::from_rows(&rows, 2);
+            let degraded = typed.degraded();
+            assert!(!matches!(typed.columns()[0].data(), ColumnData::Any(_)));
+            assert!(matches!(degraded.columns()[0].data(), ColumnData::Any(_)));
+            for (label, e) in &shapes {
+                let c = compile(e, &ctx);
+                let (sel_t, fell_back) = c.eval_predicate_block(&typed).unwrap();
+                let (sel_d, _) = c.eval_predicate_block(&degraded).unwrap();
+                assert_eq!(sel_t, sel_d, "selection mismatch: {label} @ {null_pct}%");
+                assert!(!fell_back, "typed path fell back: {label} @ {null_pct}%");
+            }
+            assert_eq!(
+                typed.hash_columns(&[0]),
+                degraded.hash_columns(&[0]),
+                "hash mismatch @ {null_pct}%"
+            );
+        }
+    }
+
     #[test]
     fn predicate_block_respects_existing_selection() {
         let rows = mixed_rows();

@@ -41,7 +41,7 @@ use mpp_core::estimate::{estimate_plan, fmt as fmt_est};
 use mpp_core::{explain_with_estimates, Optimizer, OptimizerConfig};
 use mpp_executor::{execute_stream_sched, ExecutionStats, PreparedPlan};
 pub use mpp_executor::{
-    CancelToken, ExecEngine, ExecMode, ResultChunk, RowSink, SchedConfig, SchedPolicy, StreamResult,
+    CancelToken, ExecEngine, ExecMode, ResultChunk, RowSink, SchedConfig, StreamResult,
 };
 use mpp_expr::ColRefGenerator;
 use mpp_legacy::LegacyPlanner;
@@ -314,7 +314,7 @@ impl MppDb {
     }
 
     /// Same database, with an explicit morsel-scheduler configuration
-    /// (worker count, decomposition policy, morsel size).
+    /// (worker count, morsel size).
     pub fn with_sched_config(mut self, sched: SchedConfig) -> MppDb {
         self.sched = sched;
         self

@@ -564,18 +564,6 @@ impl Storage {
     pub fn leaves_resummarized(&self) -> u64 {
         self.leaves_resummarized.load(Ordering::Relaxed)
     }
-
-    /// Rewrite every resident block into the `Any` (per-datum)
-    /// representation. A benchmarking aid: it reproduces the engine's
-    /// pre-validity-bitmap behavior — where one NULL degraded a whole
-    /// column — on identical data, so the typed-vs-degraded gap is
-    /// measurable without a historical build.
-    pub fn degrade_blocks(&self) {
-        let mut g = self.inner.write();
-        for b in g.data.values_mut() {
-            *b = b.degraded();
-        }
-    }
 }
 
 /// Summarize a leaf from its resident (dense) blocks, column at a time.

@@ -31,7 +31,7 @@ use crate::oracle::{static_upper_bound, Oracle, OracleResult};
 use mpp_common::{Datum, Result};
 use mpp_expr::ColRefGenerator;
 use mppart::testing::approx_same_bag;
-use mppart::{ExecEngine, ExecMode, MppDb, Planner, QueryOutcome, SchedConfig, SchedPolicy};
+use mppart::{ExecEngine, ExecMode, MppDb, Planner, QueryOutcome, SchedConfig};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -78,7 +78,6 @@ pub fn sched_axis() -> Vec<(&'static str, SchedConfig)> {
             "morsel7x3",
             SchedConfig {
                 workers: Some(3),
-                policy: SchedPolicy::Morsel,
                 morsel_rows: 7,
             },
         ),

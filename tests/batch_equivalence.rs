@@ -9,7 +9,7 @@ use mppart::common::Datum;
 use mppart::core::OptimizerConfig;
 use mppart::testing::sorted;
 use mppart::workloads::{setup_nullable, setup_rs, setup_skewed, SynthConfig};
-use mppart::{ExecEngine, ExecMode, MppDb, Planner, SchedConfig, SchedPolicy};
+use mppart::{ExecEngine, ExecMode, MppDb, Planner, SchedConfig};
 use proptest::prelude::*;
 
 /// A small random single-table predicate over `a` and the partition key
@@ -265,7 +265,6 @@ proptest! {
                     ExecEngine::Batch,
                     SchedConfig {
                         workers: Some(workers),
-                        policy: SchedPolicy::Morsel,
                         morsel_rows: 48,
                     },
                 );

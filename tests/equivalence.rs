@@ -7,7 +7,7 @@ use mppart::common::{Datum, Row};
 use mppart::core::OptimizerConfig;
 use mppart::testing::{approx_same_bag, sorted};
 use mppart::workloads::{setup_nullable, setup_rs, setup_skewed, SynthConfig};
-use mppart::{ExecMode, MppDb, Planner, SchedConfig, SchedPolicy};
+use mppart::{ExecEngine, ExecMode, MppDb, Planner, SchedConfig};
 use proptest::prelude::*;
 
 /// A randomly generated single-table predicate over `b` (the partition
@@ -392,8 +392,8 @@ proptest! {
     /// heavily skewed data (one partition holding ~90% of the rows),
     /// every worker count returns the identical multiset of rows, does
     /// the identical partition-elimination work and surfaces the
-    /// identical error outcome as the per-segment baseline, on both
-    /// planners and both exec modes.
+    /// identical error outcome as the row engine run sequentially, on
+    /// both planners and both exec modes.
     #[test]
     fn worker_count_is_invisible_on_skewed_data(
         seed in 0u64..20,
@@ -425,16 +425,13 @@ proptest! {
             // Division by zero on some rows (whenever a % k hits 0).
             format!("SELECT 100 / (a % {k}) FROM r WHERE b < {cutoff}"),
         ];
-        let baseline = mk(
-            SchedConfig { policy: SchedPolicy::PerSegment, ..SchedConfig::default() },
-            ExecMode::Sequential,
-        );
+        let baseline = mk(SchedConfig::default(), ExecMode::Sequential)
+            .with_exec_engine(ExecEngine::Row);
         for workers in [1usize, 2, 4, 8] {
             for mode in [ExecMode::Sequential, ExecMode::Parallel] {
                 let db = mk(
                     SchedConfig {
                         workers: Some(workers),
-                        policy: SchedPolicy::Morsel,
                         // Small morsels so skewed partitions split into many.
                         morsel_rows: 48,
                     },
