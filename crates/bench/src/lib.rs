@@ -15,12 +15,13 @@
 //! | Figure 14 (cost-based plan space) | `… --bin fig14_planspace` |
 //! | cost-model ablation | `… --bin ablation_cost` |
 //!
-//! Every binary prints a human-readable table and appends a JSON record
-//! to `results/<name>.json` for EXPERIMENTS.md bookkeeping. Scale knobs
-//! come from the `MPPART_SCALE` environment variable (a row-count
-//! multiplier, default 1).
+//! Every binary prints a human-readable table and overwrites
+//! `results/<name>.json` with one stamped JSON record for EXPERIMENTS.md
+//! bookkeeping; history lives in git. Scale knobs come from the
+//! `MPPART_SCALE` environment variable (a row-count multiplier,
+//! default 1).
 
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Row-count multiplier from `MPPART_SCALE` (default 1.0).
 pub fn scale() -> f64 {
@@ -77,22 +78,43 @@ pub fn time_median_pair<A, B>(
     (sa[sa.len() / 2], sb[sb.len() / 2])
 }
 
-/// Append a JSON record to `results/<name>.json` (one JSON value per
-/// line, so reruns accumulate).
+/// Overwrite `results/<name>.json` with `value` and a `stamp` field
+/// saying where it was measured (see [`stamp`]). One record per file:
+/// history lives in git.
 pub fn write_result(name: &str, value: &serde_json::Value) {
     let dir = std::path::Path::new("results");
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(mut file) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        use std::io::Write;
-        let _ = writeln!(file, "{value}");
+    let mut fields = vec![("stamp".to_string(), stamp())];
+    match value {
+        serde_json::Value::Object(f) => fields.extend(f.iter().cloned()),
+        other => fields.push(("result".to_string(), other.clone())),
     }
+    let record = serde_json::Value::Object(fields);
+    let _ = std::fs::write(dir.join(format!("{name}.json")), format!("{record}\n"));
+}
+
+/// The commit (`git rev-parse --short HEAD`, or `"unknown"` outside a
+/// checkout), unix time, available cores and `MPPART_SCALE` of this run.
+fn stamp() -> serde_json::Value {
+    let commit = std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    let unix_time = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    serde_json::json!({
+        "commit": commit,
+        "unix_time": unix_time,
+        "cores": cores,
+        "mppart_scale": scale(),
+    })
 }
 
 /// Print a markdown-ish table.

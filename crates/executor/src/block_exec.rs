@@ -276,7 +276,7 @@ pub(crate) fn exec_block(
                 None => {
                     if ctx.motions_frozen() {
                         return Err(Error::Internal(format!(
-                            "parallel execution reached {id} before its stage materialized it"
+                            "staged execution reached {id} before its stage materialized it"
                         )));
                     }
                     let mut v = Vec::with_capacity(storage.num_segments());
@@ -750,7 +750,8 @@ fn _derived_set_marker(_d: DerivedSet) {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_with_params_engine, ExecEngine, ExecMode, QueryResult};
+    use crate::exec::{execute_with_params_sched, ExecEngine, QueryResult};
+    use crate::morsel::SchedConfig;
     use mpp_catalog::{Catalog, Distribution, TableDesc};
     use mpp_common::{row, Column, DataType, Schema, TableOid};
     use mpp_expr::{CmpOp, ColRef};
@@ -789,8 +790,9 @@ mod tests {
         }
     }
 
-    fn batch(st: &Storage, plan: &PhysicalPlan, mode: ExecMode) -> QueryResult {
-        execute_with_params_engine(st, plan, &[], mode, ExecEngine::Batch).unwrap()
+    fn run(st: &Storage, plan: &PhysicalPlan, engine: ExecEngine, workers: usize) -> QueryResult {
+        execute_with_params_sched(st, plan, &[], engine, &SchedConfig::with_workers(workers))
+            .unwrap()
     }
 
     /// A filter that keeps nothing must still count the rows it
@@ -811,12 +813,12 @@ mod tests {
                 child: Box::new(scan(t)),
             }),
         };
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let res = batch(&st, &plan, mode);
-            assert!(res.rows.is_empty(), "{mode:?}");
-            assert_eq!(res.stats.rows_vectorized, 50, "{mode:?}");
-            assert_eq!(res.stats.blocks_produced, 0, "{mode:?}");
-            assert_eq!(res.stats.rows_row_fallback, 0, "{mode:?}");
+        for workers in [1, st.num_segments()] {
+            let res = run(&st, &plan, ExecEngine::Batch, workers);
+            assert!(res.rows.is_empty(), "workers={workers}");
+            assert_eq!(res.stats.rows_vectorized, 50, "workers={workers}");
+            assert_eq!(res.stats.blocks_produced, 0, "workers={workers}");
+            assert_eq!(res.stats.rows_row_fallback, 0, "workers={workers}");
         }
     }
 
@@ -838,15 +840,15 @@ mod tests {
                 child: Box::new(scan(t)),
             }),
         };
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let res = batch(&st, &plan, mode);
+        for workers in [1, st.num_segments()] {
+            let res = run(&st, &plan, ExecEngine::Batch, workers);
             assert_eq!(
                 res.rows,
                 vec![Row::new(vec![Datum::Int64(0), Datum::Null])],
-                "{mode:?}"
+                "workers={workers}"
             );
-            assert_eq!(res.stats.rows_vectorized, 0, "{mode:?}");
-            assert_eq!(res.stats.rows_row_fallback, 0, "{mode:?}");
+            assert_eq!(res.stats.rows_vectorized, 0, "workers={workers}");
+            assert_eq!(res.stats.rows_row_fallback, 0, "workers={workers}");
         }
     }
 
@@ -872,20 +874,20 @@ mod tests {
             }),
         };
         for engine in [ExecEngine::Batch, ExecEngine::Row] {
-            for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                let res = execute_with_params_engine(&st, &plan, &[], mode, engine).unwrap();
+            for workers in [1, st.num_segments()] {
+                let res = run(&st, &plan, engine, workers);
                 // One group per *segment* that saw rows, all keyed NULL;
                 // COUNT(g) over an all-NULL column is 0.
-                assert!(!res.rows.is_empty(), "{engine:?} {mode:?}");
+                assert!(!res.rows.is_empty(), "{engine:?} w={workers}");
                 let total: i64 = res
                     .rows
                     .iter()
                     .map(|r| r.values()[1].as_i64().unwrap())
                     .sum();
-                assert_eq!(total, 20, "{engine:?} {mode:?}");
+                assert_eq!(total, 20, "{engine:?} w={workers}");
                 for r in &res.rows {
-                    assert_eq!(r.values()[0], Datum::Null, "{engine:?} {mode:?}");
-                    assert_eq!(r.values()[2], Datum::Int64(0), "{engine:?} {mode:?}");
+                    assert_eq!(r.values()[0], Datum::Null, "{engine:?} w={workers}");
+                    assert_eq!(r.values()[2], Datum::Int64(0), "{engine:?} w={workers}");
                 }
             }
         }

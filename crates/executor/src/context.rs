@@ -1,13 +1,12 @@
 //! Execution context: the per-query runtime state.
 //!
-//! Every structure here is thread-safe (`Sync`): under
-//! [`crate::exec::ExecMode::Parallel`] one worker thread per segment
-//! executes against the same `ExecContext` concurrently, so the
-//! interior mutability is `parking_lot::Mutex` / atomics rather than
-//! `RefCell`. Sequential execution uses the identical state — the locks
-//! are simply uncontended.
+//! Every structure here is thread-safe (`Sync`): with more than one
+//! worker ([`crate::SchedConfig::workers`]) the scheduler's workers
+//! execute against the same `ExecContext` concurrently, so the interior
+//! mutability is `parking_lot::Mutex` / atomics rather than `RefCell`.
+//! One worker uses the identical state — the locks are simply
+//! uncontended.
 
-use crate::exec::ExecMode;
 use crate::prepared::CompiledCache;
 use crate::stats::{ExecutionStats, SegmentStats};
 use crate::stream::CancelToken;
@@ -25,12 +24,11 @@ use std::sync::Arc;
 /// §2.2): it is keyed by *(partScanId, segment)*, so OIDs selected on one
 /// segment are only visible to the scan on the **same** segment — exactly
 /// the property that makes plans with a Motion between the pair invalid.
-/// That keying is mode-independent: parallel workers share the registry
-/// but never read another segment's entries.
+/// That keying is independent of the worker count: concurrent workers
+/// share the registry but never read another segment's entries.
 pub struct ExecContext<'a> {
     /// Prepared-statement parameter values (`$1` = index 0).
     pub params: &'a [Datum],
-    mode: ExecMode,
     /// (scan id, segment) → selected partition OIDs. An entry exists once
     /// the selector has run, even when it selected nothing.
     part_registry: Mutex<HashMap<(PartScanId, SegmentId), BTreeSet<PartOid>>>,
@@ -57,16 +55,16 @@ pub struct ExecContext<'a> {
     /// Node address → stable id, precomputed from the plan's pre-order
     /// Motion positions. Read-only during execution.
     motion_ids: HashMap<usize, MotionId>,
-    /// Set once the parallel driver finishes the init-plan phase: from
+    /// Set once the stage driver finishes the init-plan phase: from
     /// then on a Motion cache miss is a stage-scheduling bug, not an
     /// occasion to materialize lazily from a worker thread.
     motions_frozen: AtomicBool,
-    /// Pre-routed Gather output: the parallel stage driver has each
-    /// worker clone its own slice output (warm and concurrent), so the
-    /// consuming slice on segment 0 can take the assembled copy instead
-    /// of cloning the whole cache serially. Take-once: re-executions
-    /// (e.g. a Motion under a nested-loop inner) fall back to cloning
-    /// from `motion_cache` exactly as sequential execution does.
+    /// Pre-routed Gather output: the stage driver has each task clone
+    /// its own slice output (warm, and concurrent under several
+    /// workers), so the consuming slice on segment 0 can take the
+    /// assembled copy instead of cloning the whole cache serially.
+    /// Take-once: re-executions (e.g. a Motion under a nested-loop inner)
+    /// fall back to cloning from `motion_cache`.
     preroute: Mutex<HashMap<MotionId, Vec<Row>>>,
     /// Block-engine pre-routed Gather output (chunk lists concatenated in
     /// segment order).
@@ -74,8 +72,8 @@ pub struct ExecContext<'a> {
     /// Rows materialized per Motion node.
     per_motion_rows: Mutex<HashMap<MotionId, u64>>,
     motions: AtomicU64,
-    /// One slot per segment; a worker only locks its own during parallel
-    /// execution, so contention is nil.
+    /// One slot per segment; a worker only locks the slot of the segment
+    /// it runs, so contention is nil.
     seg_stats: Vec<Mutex<SegmentStats>>,
     /// Compiled-expression template cache of a [`crate::prepared::PreparedPlan`]
     /// execution; `None` for ad-hoc plans (compile per slice, as before).
@@ -92,7 +90,6 @@ impl<'a> ExecContext<'a> {
         plan: &PhysicalPlan,
         params: &'a [Datum],
         num_segments: usize,
-        mode: ExecMode,
     ) -> ExecContext<'a> {
         let motion_ids = plan
             .motion_sites()
@@ -101,7 +98,6 @@ impl<'a> ExecContext<'a> {
             .collect();
         ExecContext {
             motion_ids,
-            mode,
             ..ExecContext::new(params, num_segments)
         }
     }
@@ -111,7 +107,6 @@ impl<'a> ExecContext<'a> {
     pub fn new(params: &'a [Datum], num_segments: usize) -> ExecContext<'a> {
         ExecContext {
             params,
-            mode: ExecMode::Sequential,
             part_registry: Mutex::new(HashMap::new()),
             oid_params: Mutex::new(HashMap::new()),
             motion_cache: Mutex::new(HashMap::new()),
@@ -154,10 +149,6 @@ impl<'a> ExecContext<'a> {
         self.compiled_cache
     }
 
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// The `partition_propagation` built-in (paper Table 1): push OIDs to
     /// the DynamicScan with this id on this segment.
     pub fn propagate_parts(
@@ -177,7 +168,7 @@ impl<'a> ExecContext<'a> {
 
     /// Consume the propagated OIDs for a DynamicScan. Errors if no
     /// selector ran on this segment — the runtime symptom of the §3.1
-    /// invalid plans, detected identically in both execution modes.
+    /// invalid plans, detected identically at every worker count.
     pub fn consume_parts(&self, id: PartScanId, segment: SegmentId) -> Result<Vec<PartOid>> {
         self.part_registry
             .lock()
@@ -205,7 +196,7 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Gate check for a legacy `PartScan`. Init plans run before the main
-    /// plan in both modes, so an absent parameter means the plan never
+    /// plan at every worker count, so an absent parameter means the plan never
     /// computes it — an invalid plan, not a timing issue.
     pub fn oid_param_contains(&self, param: u32, oid: PartOid) -> Result<bool> {
         self.oid_params
@@ -297,7 +288,7 @@ impl<'a> ExecContext<'a> {
         self.preroute_blocks.lock().remove(&id)
     }
 
-    /// After this, a Motion cache miss under parallel execution is an
+    /// After this, a Motion cache miss under staged execution is an
     /// internal error (the stage driver must have materialized it).
     pub(crate) fn freeze_motions(&self) {
         self.motions_frozen.store(true, Ordering::Release);
@@ -396,7 +387,7 @@ mod tests {
 
     #[test]
     fn registry_is_shared_across_threads() {
-        // Parallel workers publish into and read from the same registry;
+        // Concurrent workers publish into and read from the same registry;
         // per-segment keying keeps their entries apart.
         let ctx = ExecContext::new(&[], 4);
         std::thread::scope(|s| {

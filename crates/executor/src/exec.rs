@@ -6,16 +6,16 @@
 //! materializes its child once for **all** segments and hands each target
 //! segment its share.
 //!
-//! One stage driver runs queries in both [`ExecMode`]s
-//! (`morsel::run_stages_stream`): the plan is cut into slices at Motion
-//! boundaries, every Motion stage materializes eagerly, children before
-//! parents, and each stage's per-segment work runs on the work-stealing
-//! scheduler. The modes differ only in worker count: Sequential is that
-//! scheduler with one worker (tasks drain in segment order on the
-//! calling thread), Parallel has one worker per segment. Both produce
-//! the same rows and the same merged statistics. Only DML and init
-//! plans, which run before the stages are frozen, let a Motion
-//! materialize lazily on first access.
+//! One stage driver runs every query (`morsel::run_stages_stream`): the
+//! plan is cut into slices at Motion boundaries, every Motion stage
+//! materializes eagerly, children before parents, and each stage's
+//! per-segment work runs on the work-stealing scheduler. The worker
+//! count ([`SchedConfig::workers`]) is the only scheduling decision: with
+//! one worker the tasks drain in segment order on the calling thread and
+//! a root Gather streams per segment; with more, stages run on the pool.
+//! Every worker count produces the same rows and the same merged
+//! statistics. Only DML and init plans, which run before the stages are
+//! frozen, let a Motion materialize lazily on first access.
 
 use crate::context::ExecContext;
 use crate::morsel::{self, SchedConfig};
@@ -50,20 +50,17 @@ pub enum ExecEngine {
     Row,
 }
 
-/// How the simulated cluster's segments execute their plan slices.
+/// The argument of [`crate::PreparedPlan::execute_engine_sched`], and
+/// nothing else: the worker count in [`SchedConfig::workers`] is the
+/// executor's only scheduling decision. It survives because the
+/// benchmark harness's `replay.par_exec` span calls that method with
+/// `Parallel`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// The stage driver with one worker: the calling thread runs every
-    /// segment's slice in turn, stage by stage over the Motion
-    /// boundaries (children before parents), so Motions materialize
-    /// eagerly before the slices reading them run. A root Gather is the
-    /// one exception: its child's output streams to the sink segment by
-    /// segment instead of being materialized first.
+    /// Run under the given [`SchedConfig`] unchanged.
     #[default]
     Sequential,
-    /// The same stage driver with one worker per segment. Rows and
-    /// merged statistics are identical to [`ExecMode::Sequential`]; only
-    /// the per-segment `elapsed` breakdown differs.
+    /// Run with `workers.unwrap_or(num_segments)` workers.
     Parallel,
 }
 
@@ -74,49 +71,22 @@ pub struct QueryResult {
     pub stats: ExecutionStats,
 }
 
-/// Execute a plan with no parameters (sequentially).
+/// Execute a plan with no parameters on the default engine and
+/// scheduler (one worker).
 pub fn execute(storage: &Storage, plan: &PhysicalPlan) -> Result<QueryResult> {
-    execute_with_params_mode(storage, plan, &[], ExecMode::Sequential)
+    execute_with_params_sched(storage, plan, &[], Default::default(), &Default::default())
 }
 
-/// Execute a plan with no parameters under the given [`ExecMode`].
-pub fn execute_mode(storage: &Storage, plan: &PhysicalPlan, mode: ExecMode) -> Result<QueryResult> {
-    execute_with_params_mode(storage, plan, &[], mode)
-}
-
-/// Execute a plan with prepared-statement parameters bound, under the
-/// given [`ExecMode`].
-pub fn execute_with_params_mode(
-    storage: &Storage,
-    plan: &PhysicalPlan,
-    params: &[Datum],
-    mode: ExecMode,
-) -> Result<QueryResult> {
-    execute_with_params_engine(storage, plan, params, mode, ExecEngine::default())
-}
-
-/// Execute with full control over mode and [`ExecEngine`].
-pub fn execute_with_params_engine(
-    storage: &Storage,
-    plan: &PhysicalPlan,
-    params: &[Datum],
-    mode: ExecMode,
-    engine: ExecEngine,
-) -> Result<QueryResult> {
-    execute_with_params_sched(storage, plan, params, mode, engine, &SchedConfig::default())
-}
-
-/// Execute with full control over mode, [`ExecEngine`] and the morsel
-/// scheduler's [`SchedConfig`].
+/// Execute with prepared-statement parameters bound, on the given
+/// [`ExecEngine`] and morsel-scheduler [`SchedConfig`].
 pub fn execute_with_params_sched(
     storage: &Storage,
     plan: &PhysicalPlan,
     params: &[Datum],
-    mode: ExecMode,
     engine: ExecEngine,
     sched: &SchedConfig,
 ) -> Result<QueryResult> {
-    run_plan_sched(storage, plan, params, mode, engine, None, sched)
+    run_plan_sched(storage, plan, params, engine, None, sched)
 }
 
 /// The collecting driver behind ad-hoc and prepared execution (the
@@ -129,7 +99,6 @@ pub(crate) fn run_plan_sched(
     storage: &Storage,
     plan: &PhysicalPlan,
     params: &[Datum],
-    mode: ExecMode,
     engine: ExecEngine,
     cache: Option<&CompiledCache>,
     sched: &SchedConfig,
@@ -143,7 +112,6 @@ pub(crate) fn run_plan_sched(
         storage,
         plan,
         params,
-        mode,
         engine,
         cache,
         sched,
@@ -154,25 +122,22 @@ pub(crate) fn run_plan_sched(
     Ok(QueryResult { rows, stats })
 }
 
-/// Streaming execution with full control over mode, engine, scheduler
-/// and cancellation: result chunks are pushed into `sink` as each
-/// segment (and, for the block engine, each chunk) completes at the
-/// root. Statistics survive errors — a cancelled query reports what it
+/// Streaming execution with full control over engine, scheduler and
+/// cancellation: result chunks are pushed into `sink` as each segment
+/// (and, for the block engine, each chunk) completes at the root.
+/// Statistics survive errors — a cancelled query reports what it
 /// scanned before stopping.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_stream_sched(
     storage: &Storage,
     plan: &PhysicalPlan,
     params: &[Datum],
-    mode: ExecMode,
     engine: ExecEngine,
     sched: &SchedConfig,
     cancel: &CancelToken,
     sink: &mut RowSink<'_>,
 ) -> StreamResult {
-    run_plan_stream(
-        storage, plan, params, mode, engine, None, sched, cancel, sink,
-    )
+    run_plan_stream(storage, plan, params, engine, None, sched, cancel, sink)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -180,30 +145,24 @@ pub(crate) fn run_plan_stream(
     storage: &Storage,
     plan: &PhysicalPlan,
     params: &[Datum],
-    mode: ExecMode,
     engine: ExecEngine,
     cache: Option<&CompiledCache>,
     sched: &SchedConfig,
     cancel: &CancelToken,
     sink: &mut RowSink<'_>,
 ) -> StreamResult {
-    // DML mutates shared storage from one driver thread in either mode;
-    // its children still execute per segment, with Motions materialized
-    // lazily, so it always runs under a sequential context. It also
-    // always runs the row engine: every mutation path materializes rows
-    // regardless, and the scan-not-observing-its-own-writes contract is
-    // what the row path is tested for.
-    let eff_mode = if is_dml(plan) {
-        ExecMode::Sequential
-    } else {
-        mode
-    };
+    // DML mutates shared storage from one driver thread; its children
+    // still execute per segment, with Motions materialized lazily, and
+    // never reach the stage driver, so the worker count does not apply.
+    // It always runs the row engine: every mutation path materializes
+    // rows regardless, and the scan-not-observing-its-own-writes
+    // contract is what the row path is tested for.
     let eff_engine = if is_dml(plan) {
         ExecEngine::Row
     } else {
         engine
     };
-    let ctx = ExecContext::for_plan(plan, params, storage.num_segments(), eff_mode)
+    let ctx = ExecContext::for_plan(plan, params, storage.num_segments())
         .with_compiled_cache(cache)
         .with_cancel(cancel.clone());
     let result = run_plan_stream_inner(plan, storage, &ctx, eff_engine, sched, sink);
@@ -234,8 +193,8 @@ fn run_plan_stream_inner(
     // Init plans run once, before the main plan — the classic planner
     // contract. Publishing every $oids parameter up front is what lets a
     // gated scan below a Motion read a parameter its InitPlanOids
-    // sibling sits above, in both modes, and it makes the two modes
-    // reach gates in an identical publication state.
+    // sibling sits above, and it makes every worker count reach gates
+    // in an identical publication state.
     for init in init_plan_sites(plan) {
         ctx.check_cancel()?;
         let t0 = Instant::now();
@@ -252,9 +211,9 @@ fn run_plan_stream_inner(
         }
         Ok(n)
     } else {
-        // One stage driver for both modes and both engines: the plan is
-        // cut into slices at Motion boundaries and each stage's work runs
-        // on the morsel scheduler (Sequential = one worker).
+        // One stage driver for every worker count and both engines: the
+        // plan is cut into slices at Motion boundaries and each stage's
+        // work runs on the morsel scheduler.
         morsel::run_stages_stream(plan, storage, ctx, engine, sched, sink)
     }
 }
@@ -473,11 +432,11 @@ pub(crate) fn exec(
             // (and cache) under the same key.
             let id = ctx.motion_id_of(plan)?;
             if seg == SegmentId(0) && matches!(kind, MotionKind::Gather) {
-                // First consumption of a parallel Gather stage takes the
-                // copy the stage workers pre-assembled (each cloned its
-                // own rows, warm and concurrently). Re-executions — and
-                // sequential mode, which never pre-routes — fall through
-                // to cloning from the cache.
+                // First consumption of a Gather stage takes the copy the
+                // stage workers pre-assembled (each cloned its own rows,
+                // warm and concurrently). Re-executions — and lazily
+                // materialized Motions, which never pre-route — fall
+                // through to cloning from the cache.
                 if let Some(rows) = ctx.preroute_take(id) {
                     return Ok(rows);
                 }
@@ -486,11 +445,11 @@ pub(crate) fn exec(
                 Some(v) => v,
                 None => {
                     if ctx.motions_frozen() {
-                        // The parallel stage driver materializes every
-                        // Motion before the slices above it run; a miss
-                        // here is a scheduling bug, not a user error.
+                        // The stage driver materializes every Motion
+                        // before the slices above it run; a miss here is
+                        // a scheduling bug, not a user error.
                         return Err(Error::Internal(format!(
-                            "parallel execution reached {id} before its stage materialized it"
+                            "staged execution reached {id} before its stage materialized it"
                         )));
                     }
                     let mut v = Vec::with_capacity(storage.num_segments());
@@ -1506,8 +1465,8 @@ mod tests {
             }),
         };
         for engine in [ExecEngine::Row, ExecEngine::Batch] {
-            let res =
-                execute_with_params_engine(&st, &plan, &[], ExecMode::Sequential, engine).unwrap();
+            let res = execute_with_params_sched(&st, &plan, &[], engine, &SchedConfig::default())
+                .unwrap();
             // Parts {0..=4} hold b ∈ [0, 50): rows 0..50.
             assert_eq!(res.rows.len(), 50, "{engine:?}");
             assert_eq!(res.stats.parts_scanned_for(r), 5, "{engine:?}");
@@ -1552,8 +1511,8 @@ mod tests {
             }),
         };
         for engine in [ExecEngine::Row, ExecEngine::Batch] {
-            let res =
-                execute_with_params_engine(&st, &plan, &[], ExecMode::Sequential, engine).unwrap();
+            let res = execute_with_params_sched(&st, &plan, &[], engine, &SchedConfig::default())
+                .unwrap();
             // Branch 1 reads b ∈ [0,30), branch 2 reads b ∈ [10,50).
             assert_eq!(res.rows.len(), 30 + 40, "{engine:?}");
             assert_eq!(res.stats.parts_scanned_for(r), 5, "{engine:?}");
@@ -1637,14 +1596,12 @@ mod tests {
                 }),
             }),
         };
-        let res = execute_with_params_mode(&st, &plan, &[Datum::Int32(42)], ExecMode::Sequential)
-            .unwrap();
+        let res = run_on(&st, &plan, &[Datum::Int32(42)], 1).unwrap();
         assert_eq!(res.rows.len(), 1);
         assert_eq!(res.rows[0], row![42, 42]);
         assert_eq!(res.stats.parts_scanned_for(r), 1);
         // A different binding selects a different partition.
-        let res =
-            execute_with_params_mode(&st, &plan, &[Datum::Int32(7)], ExecMode::Sequential).unwrap();
+        let res = run_on(&st, &plan, &[Datum::Int32(7)], 1).unwrap();
         assert_eq!(res.rows[0], row![7, 7]);
     }
 
@@ -2004,7 +1961,18 @@ mod tests {
         assert_eq!(res.stats.parts_scanned_for(t), 1);
     }
 
-    // ---- parallel-mode equivalence and error behavior ----
+    // ---- worker-count equivalence and error behavior ----
+
+    /// Execute on the default engine with exactly `workers` workers.
+    fn run_on(
+        st: &Storage,
+        plan: &PhysicalPlan,
+        params: &[Datum],
+        workers: usize,
+    ) -> Result<QueryResult> {
+        let sched = SchedConfig::with_workers(workers);
+        execute_with_params_sched(st, plan, params, ExecEngine::default(), &sched)
+    }
 
     fn row_counts(rows: &[Row]) -> HashMap<Row, usize> {
         let mut m = HashMap::new();
@@ -2014,11 +1982,16 @@ mod tests {
         m
     }
 
-    /// Both modes must return the same bag of rows and identical merged
+    /// One worker (streamed root) and one worker per segment (staged
+    /// root) must return the same bag of rows and identical merged
     /// statistics (everything except per-segment `elapsed`).
-    fn assert_modes_agree(st: &Storage, plan: &PhysicalPlan, params: &[Datum]) -> QueryResult {
-        let seq = execute_with_params_mode(st, plan, params, ExecMode::Sequential).unwrap();
-        let par = execute_with_params_mode(st, plan, params, ExecMode::Parallel).unwrap();
+    fn assert_worker_counts_agree(
+        st: &Storage,
+        plan: &PhysicalPlan,
+        params: &[Datum],
+    ) -> QueryResult {
+        let seq = run_on(st, plan, params, 1).unwrap();
+        let par = run_on(st, plan, params, st.num_segments()).unwrap();
         assert_eq!(row_counts(&seq.rows), row_counts(&par.rows));
         assert_eq!(seq.stats.parts_scanned, par.stats.parts_scanned);
         assert_eq!(seq.stats.part_opens, par.stats.part_opens);
@@ -2053,7 +2026,7 @@ mod tests {
                 }),
             }),
         };
-        let res = assert_modes_agree(&st, &plan, &[]);
+        let res = assert_worker_counts_agree(&st, &plan, &[]);
         assert_eq!(res.rows.len(), 25);
         assert_eq!(res.stats.parts_scanned_for(r), 3);
     }
@@ -2095,7 +2068,7 @@ mod tests {
             kind: MotionKind::Gather,
             child: Box::new(join),
         };
-        let res = assert_modes_agree(&st, &plan, &[]);
+        let res = assert_worker_counts_agree(&st, &plan, &[]);
         assert_eq!(res.rows.len(), 2);
         assert_eq!(res.stats.parts_scanned_for(r), 2);
     }
@@ -2113,24 +2086,24 @@ mod tests {
                 }),
             }),
         };
-        let res = assert_modes_agree(&st, &plan, &[Datum::Int32(42)]);
+        let res = assert_worker_counts_agree(&st, &plan, &[Datum::Int32(42)]);
         assert_eq!(res.rows, vec![row![42, 42]]);
         assert_eq!(res.stats.parts_scanned_for(r), 1);
     }
 
     #[test]
     fn parallel_detects_invalid_plan() {
-        // §3.1: DynamicScan whose selector never ran must error in
-        // parallel mode exactly like in sequential mode.
+        // §3.1: DynamicScan whose selector never ran must error with one
+        // worker per segment exactly like with one worker.
         let (st, r, _) = setup();
         let plan = PhysicalPlan::Motion {
             kind: MotionKind::Gather,
             child: Box::new(r_scan(r, 1)),
         };
-        let seq = execute_mode(&st, &plan, ExecMode::Sequential).unwrap_err();
-        let par = execute_mode(&st, &plan, ExecMode::Parallel).unwrap_err();
-        assert_eq!(seq.kind(), "invalid_plan");
-        assert_eq!(par.kind(), "invalid_plan");
+        for workers in [1, st.num_segments()] {
+            let err = run_on(&st, &plan, &[], workers).unwrap_err();
+            assert_eq!(err.kind(), "invalid_plan", "workers={workers}");
+        }
     }
 
     #[test]
@@ -2174,7 +2147,7 @@ mod tests {
                 ],
             }),
         };
-        let res = assert_modes_agree(&st, &plan, &[]);
+        let res = assert_worker_counts_agree(&st, &plan, &[]);
         assert_eq!(res.rows.len(), 20);
         assert_eq!(res.stats.parts_scanned_for(r), 2);
     }
@@ -2184,7 +2157,7 @@ mod tests {
         // The legacy planner emits Sequence[InitPlanOids, Join(...,
         // Broadcast(gated Append))]: the gate sits in an *earlier* stage
         // than its publisher's slice. Init plans pre-run before the main
-        // plan in both modes, so this works — and identically.
+        // plan at every worker count, so this works — and identically.
         let (st, r, s) = setup();
         let part = st.catalog().part_tree(r).unwrap().leaves()[0].oid;
         let plan = PhysicalPlan::Append {
@@ -2215,8 +2188,8 @@ mod tests {
             ],
         };
         // S values 0..10 route to partition [0,10) = the first leaf: the
-        // gate admits the scan, so its 10 rows come back from each mode.
-        let res = assert_modes_agree(&st, &plan, &[]);
+        // gate admits the scan, so its 10 rows come back either way.
+        let res = assert_worker_counts_agree(&st, &plan, &[]);
         assert_eq!(res.rows.len(), 10);
         assert_eq!(res.stats.parts_scanned_for(r), 1);
     }
@@ -2287,9 +2260,9 @@ mod tests {
                 },
             ],
         };
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let err = execute_mode(&st, &plan, mode).unwrap_err();
-            assert_eq!(err.kind(), "invalid_plan", "{mode:?}");
+        for workers in [1, st.num_segments()] {
+            let err = run_on(&st, &plan, &[], workers).unwrap_err();
+            assert_eq!(err.kind(), "invalid_plan", "workers={workers}");
             assert!(err.to_string().contains("single-level"), "{err}");
         }
     }

@@ -18,12 +18,15 @@
 //!   runtime error — the §3.1 invalid-plan condition, detectable here as
 //!   well as statically.
 //!
-//! Execution comes in two [`ExecMode`]s: `Sequential` (one driver
-//! thread interprets every segment's slice in turn) and `Parallel` (the
-//! plan is cut into slices at Motion boundaries — see [`slice`] — and
-//! every segment's slice runs on its own worker thread, stage by
-//! stage). Both modes return the same bag of rows and identical merged
-//! statistics; only the per-segment `elapsed` breakdown differs.
+//! One stage driver executes every plan: the plan is cut into slices at
+//! Motion boundaries (see [`slice`]) and each stage's per-segment work
+//! runs as tasks on a work-stealing scheduler. Its worker count
+//! ([`SchedConfig::workers`], one by default) is the only scheduling
+//! decision: one worker interprets every segment's slice in turn on the
+//! calling thread and streams a root Gather per segment; more workers
+//! share the tasks. Every worker count returns the same bag of rows and
+//! identical merged statistics; only the per-segment `elapsed`
+//! breakdown differs.
 //!
 //! Execution also collects [`ExecutionStats`] — distinct partitions
 //! scanned per table, tuples read, rows moved, now with per-segment
@@ -46,8 +49,7 @@ mod motion_tests;
 
 pub use context::ExecContext;
 pub use exec::{
-    execute, execute_mode, execute_stream_sched, execute_with_params_engine,
-    execute_with_params_mode, execute_with_params_sched, ExecEngine, ExecMode, QueryResult,
+    execute, execute_stream_sched, execute_with_params_sched, ExecEngine, ExecMode, QueryResult,
 };
 pub use morsel::SchedConfig;
 pub use prepared::{CompiledCache, PreparedPlan};

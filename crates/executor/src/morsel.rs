@@ -1,12 +1,14 @@
 //! Morsel-driven work-stealing execution.
 //!
-//! This module is the one stage driver behind both [`ExecMode`]s and both
+//! This module is the one stage driver behind every worker count and both
 //! [`ExecEngine`]s: the plan is cut into slices at Motion boundaries
-//! (children before parents, exactly as the old parallel driver did), and
-//! each stage's work is decomposed into *tasks* that run on a small
-//! work-stealing scheduler ([`run_tasks`]). Sequential mode is the same
-//! scheduler with one worker — the tasks then drain in deque order, which
-//! reproduces the sequential driver's segment-major evaluation order.
+//! (children before parents), and each stage's work is decomposed into
+//! *tasks* that run on a small work-stealing scheduler ([`run_tasks`]).
+//! The worker count ([`SchedConfig::workers`]) is the only scheduling
+//! decision. With one worker the tasks drain in deque order on the
+//! calling thread — segment-major evaluation order — and a root Gather
+//! streams to the sink per segment (`stream_root`); with more, every
+//! stage, the root included, runs on the pool.
 //!
 //! For the row engine — and for block-engine slices whose shape doesn't
 //! fuse — a task is "one segment's slice", matching the old per-segment
@@ -29,8 +31,8 @@
 //!
 //! ## Determinism
 //!
-//! Results must be bit-identical to the per-segment drivers in every
-//! mode, at every worker count:
+//! Results must be bit-identical to the per-segment drivers at every
+//! worker count:
 //!
 //! * the morsel decomposition depends only on the stored blocks and
 //!   `morsel_rows` — never on the worker count — and per-segment results
@@ -56,7 +58,7 @@
 use crate::agg_kernel::{AggSpec, Finalized, PartialAgg};
 use crate::block_exec::{exec_block, filter_block_core, project_block_core, rows_to_chunks};
 use crate::context::ExecContext;
-use crate::exec::{compiled, exec, AggExec, ExecEngine, ExecMode};
+use crate::exec::{compiled, exec, AggExec, ExecEngine};
 use crate::pool;
 use crate::slice::SlicePlan;
 use crate::stats::SegmentStats;
@@ -77,8 +79,9 @@ use std::time::Instant;
 /// how a plan executes, never what it computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchedConfig {
-    /// Worker count; `None` derives it from the mode (Sequential → 1,
-    /// Parallel → one per segment).
+    /// Worker count; `None` means one. One worker runs every task on the
+    /// calling thread and streams a root Gather per segment; more run
+    /// the tasks on the shared pool with stealing and stage the root.
     pub workers: Option<usize>,
     /// Maximum logical rows per morsel.
     pub morsel_rows: usize,
@@ -94,13 +97,12 @@ impl Default for SchedConfig {
 }
 
 impl SchedConfig {
-    fn effective_workers(&self, mode: ExecMode, num_segments: usize) -> usize {
-        self.workers
-            .unwrap_or(match mode {
-                ExecMode::Sequential => 1,
-                ExecMode::Parallel => num_segments,
-            })
-            .max(1)
+    /// Default morsels on exactly `workers` workers.
+    pub fn with_workers(workers: usize) -> SchedConfig {
+        SchedConfig {
+            workers: Some(workers),
+            ..SchedConfig::default()
+        }
     }
 }
 
@@ -173,10 +175,9 @@ where
 
 /// The unified stage driver: materialize every Motion stage in
 /// children-before-parents order, then run the root slice, emitting its
-/// output through `sink` chunk by chunk. Both modes and both engines
-/// route through here (Sequential = one worker), so Motions always
-/// materialize eagerly stage by stage, exactly as the old parallel
-/// drivers did. Returns the number of rows emitted.
+/// output through `sink` chunk by chunk. Every worker count and both
+/// engines route through here, so Motions always materialize eagerly
+/// stage by stage. Returns the number of rows emitted.
 pub(crate) fn run_stages_stream(
     plan: &PhysicalPlan,
     storage: &Storage,
@@ -194,7 +195,7 @@ pub(crate) fn run_stages_stream(
     if segs.is_empty() {
         return Ok(0);
     }
-    let workers = sched.effective_workers(ctx.mode(), segs.len());
+    let workers = sched.workers.unwrap_or(1).max(1);
     match engine {
         ExecEngine::Row => run_stages_rows(&slices, storage, ctx, workers, &segs, sink),
         ExecEngine::Batch => run_stages_blocks(&slices, storage, ctx, workers, &segs, sched, sink),
@@ -202,7 +203,7 @@ pub(crate) fn run_stages_stream(
 }
 
 /// The incremental-delivery fast path: when the plan root is an uncached
-/// `Motion{Gather}` and execution is sequential, the final Gather is not
+/// `Motion{Gather}` and exactly one worker runs, the final Gather is not
 /// materialized as a stage at all — each segment's child-slice output is
 /// handed to the sink as that segment finishes, so the first chunks
 /// reach a network client while later segments are still scanning.
@@ -215,10 +216,11 @@ pub(crate) fn run_stages_stream(
 fn stream_root<'p>(
     slices: &SlicePlan<'p>,
     ctx: &ExecContext<'_>,
+    workers: usize,
 ) -> Option<(MotionId, &'p PhysicalPlan)> {
-    if ctx.mode() != ExecMode::Sequential {
-        // Parallel stages overlap segments; streaming them per segment
-        // would serialize the workers. Keep the staged path.
+    if workers != 1 {
+        // Several workers overlap segments; streaming them one segment at
+        // a time would serialize the workers. Keep the staged path.
         return None;
     }
     match slices.root {
@@ -269,7 +271,7 @@ fn run_stages_rows(
         Ok((per_source, routed))
     };
 
-    let streamed = stream_root(slices, ctx);
+    let streamed = stream_root(slices, ctx, workers);
     for site in &slices.stages {
         ctx.check_cancel()?;
         let id = ctx.motion_id_of(site.node)?;
@@ -355,7 +357,7 @@ fn run_stages_blocks(
             Ok((per_source, routed))
         };
 
-    let streamed = stream_root(slices, ctx);
+    let streamed = stream_root(slices, ctx, workers);
     for site in &slices.stages {
         ctx.check_cancel()?;
         let id = ctx.motion_id_of(site.node)?;
@@ -1208,26 +1210,14 @@ mod tests {
         r.rows
     }
 
-    fn run(
-        st: &Storage,
-        plan: &PhysicalPlan,
-        mode: ExecMode,
-        sched: &SchedConfig,
-    ) -> Result<QueryResult> {
-        execute_with_params_sched(st, plan, &[], mode, ExecEngine::Batch, sched)
+    fn run(st: &Storage, plan: &PhysicalPlan, sched: &SchedConfig) -> Result<QueryResult> {
+        execute_with_params_sched(st, plan, &[], ExecEngine::Batch, sched)
     }
 
-    /// The row engine, sequentially: the semantic reference every block
+    /// The row engine on one worker: the semantic reference every block
     /// schedule must reproduce (rows, error text, overflow behaviour).
     fn reference(st: &Storage, plan: &PhysicalPlan) -> Result<QueryResult> {
-        execute_with_params_sched(
-            st,
-            plan,
-            &[],
-            ExecMode::Sequential,
-            ExecEngine::Row,
-            &SchedConfig::default(),
-        )
+        execute_with_params_sched(st, plan, &[], ExecEngine::Row, &SchedConfig::default())
     }
 
     fn all_scheds() -> Vec<SchedConfig> {
@@ -1268,13 +1258,11 @@ mod tests {
         );
         let baseline = reference(&st, &plan).unwrap();
         let want_rows = sorted_rows(baseline);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            for sched in all_scheds() {
-                let got = run(&st, &plan, mode, &sched).unwrap();
-                // Merged stats must be scheduling-independent.
-                assert_eq!(got.stats.tuples_scanned, 200, "{mode:?} {sched:?}");
-                assert_eq!(sorted_rows(got), want_rows, "{mode:?} {sched:?}");
-            }
+        for sched in all_scheds() {
+            let got = run(&st, &plan, &sched).unwrap();
+            // Merged stats must be scheduling-independent.
+            assert_eq!(got.stats.tuples_scanned, 200, "{sched:?}");
+            assert_eq!(sorted_rows(got), want_rows, "{sched:?}");
         }
     }
 
@@ -1296,7 +1284,7 @@ mod tests {
         let want = sorted_rows(reference(&st, &plan).unwrap());
         assert_eq!(want.len(), 60);
         for sched in all_scheds() {
-            let got = run(&st, &plan, ExecMode::Parallel, &sched).unwrap();
+            let got = run(&st, &plan, &sched).unwrap();
             assert_eq!(sorted_rows(got), want, "{sched:?}");
         }
     }
@@ -1337,11 +1325,9 @@ mod tests {
             }),
         };
         let want = reference(&st, &plan).unwrap_err();
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            for sched in all_scheds() {
-                let got = run(&st, &plan, mode, &sched).unwrap_err();
-                assert_eq!(got.to_string(), want.to_string(), "{mode:?} {sched:?}");
-            }
+        for sched in all_scheds() {
+            let got = run(&st, &plan, &sched).unwrap_err();
+            assert_eq!(got.to_string(), want.to_string(), "{sched:?}");
         }
     }
 
@@ -1364,7 +1350,7 @@ mod tests {
         assert!(want.to_string().contains("overflow"), "{want}");
         for sched in all_scheds() {
             // morsel_rows == 3 splits the four rows across two morsels.
-            let got = run(&st, &plan, ExecMode::Parallel, &sched).unwrap_err();
+            let got = run(&st, &plan, &sched).unwrap_err();
             assert_eq!(got.to_string(), want.to_string(), "{sched:?}");
         }
     }
@@ -1386,20 +1372,18 @@ mod tests {
                 child: Box::new(scan(t, None)),
             }),
         };
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            for sched in all_scheds() {
-                let got = run(&st, &plan, mode, &sched).unwrap();
-                assert_eq!(
-                    got.rows,
-                    vec![Row::new(vec![Datum::Int64(0), Datum::Null])],
-                    "{mode:?} {sched:?}"
-                );
-            }
+        for sched in all_scheds() {
+            let got = run(&st, &plan, &sched).unwrap();
+            assert_eq!(
+                got.rows,
+                vec![Row::new(vec![Datum::Int64(0), Datum::Null])],
+                "{sched:?}"
+            );
         }
     }
 
     /// Float sums merged across morsels re-run through the reference
-    /// path, so results are bit-identical to sequential — not merely
+    /// path, so results are bit-identical to the row engine — not merely
     /// close.
     #[test]
     fn float_sums_are_bit_identical_across_worker_counts() {
@@ -1444,7 +1428,7 @@ mod tests {
         };
         let want = sorted_rows(reference(&st, &plan).unwrap());
         for sched in all_scheds() {
-            let got = sorted_rows(run(&st, &plan, ExecMode::Parallel, &sched).unwrap());
+            let got = sorted_rows(run(&st, &plan, &sched).unwrap());
             assert_eq!(got, want, "{sched:?}");
         }
     }

@@ -92,7 +92,8 @@ impl PreparedPlan {
 
     /// Execute the pinned plan with fresh parameter bindings under an
     /// explicit engine and scheduler configuration (worker count, morsel
-    /// size).
+    /// size). [`ExecMode::Parallel`] defaults an unset worker count to
+    /// one per segment; the mode is kept for the benchmark harness only.
     pub fn execute_engine_sched(
         &self,
         storage: &Storage,
@@ -101,14 +102,20 @@ impl PreparedPlan {
         engine: ExecEngine,
         sched: &SchedConfig,
     ) -> Result<QueryResult> {
+        let sched = match mode {
+            ExecMode::Sequential => *sched,
+            ExecMode::Parallel => SchedConfig {
+                workers: Some(sched.workers.unwrap_or(storage.num_segments())),
+                ..*sched
+            },
+        };
         run_plan_sched(
             storage,
             &self.plan,
             params,
-            mode,
             engine,
             Some(&self.cache),
-            sched,
+            &sched,
         )
     }
 
@@ -116,12 +123,10 @@ impl PreparedPlan {
     /// `sink` as segments finish, cancellation is honored at block
     /// boundaries, and statistics survive errors. Same template cache as
     /// the collecting path.
-    #[allow(clippy::too_many_arguments)]
     pub fn execute_stream_sched(
         &self,
         storage: &Storage,
         params: &[Datum],
-        mode: ExecMode,
         engine: ExecEngine,
         sched: &SchedConfig,
         cancel: &CancelToken,
@@ -131,7 +136,6 @@ impl PreparedPlan {
             storage,
             &self.plan,
             params,
-            mode,
             engine,
             Some(&self.cache),
             sched,
@@ -164,7 +168,7 @@ pub(crate) fn compiled_for(e: &Expr, cols: &[ColRef], ctx: &ExecContext<'_>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_with_params_mode;
+    use crate::exec::execute_with_params_sched;
     use mpp_catalog::Catalog;
     use mpp_expr::{CmpOp, ColRef};
 
@@ -172,12 +176,11 @@ mod tests {
         prepared: &PreparedPlan,
         storage: &Storage,
         params: &[Datum],
-        mode: ExecMode,
     ) -> Result<QueryResult> {
         prepared.execute_engine_sched(
             storage,
             params,
-            mode,
+            ExecMode::Sequential,
             ExecEngine::default(),
             &SchedConfig::default(),
         )
@@ -201,11 +204,18 @@ mod tests {
         let plan = param_filter_plan();
         let prepared = PreparedPlan::new(Arc::clone(&plan));
         assert_eq!(prepared.compiled_sites(), 0);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+        let (engine, sched) = (ExecEngine::default(), SchedConfig::default());
+        // `Parallel` is the fresh path on one worker per segment.
+        for (mode, workers) in [(ExecMode::Sequential, 1), (ExecMode::Parallel, 2)] {
+            let fresh_sched = SchedConfig::with_workers(workers);
             for n in [0, 3, 10] {
                 let params = [Datum::Int32(n)];
-                let got = execute(&prepared, &storage, &params, mode).unwrap();
-                let want = execute_with_params_mode(&storage, &plan, &params, mode).unwrap();
+                let got = prepared
+                    .execute_engine_sched(&storage, &params, mode, engine, &sched)
+                    .unwrap();
+                let want =
+                    execute_with_params_sched(&storage, &plan, &params, engine, &fresh_sched)
+                        .unwrap();
                 assert_eq!(got.rows, want.rows, "n={n} mode={mode:?}");
                 assert_eq!(got.rows.len(), n as usize);
             }
@@ -218,16 +228,10 @@ mod tests {
     fn missing_param_still_errors_per_execution() {
         let storage = Storage::new(Catalog::new(), 1);
         let prepared = PreparedPlan::new(param_filter_plan());
-        let err = execute(&prepared, &storage, &[], ExecMode::Sequential).unwrap_err();
+        let err = execute(&prepared, &storage, &[]).unwrap_err();
         assert!(err.to_string().contains("$1"), "{err}");
         // The same handle still works once the parameter is supplied.
-        let ok = execute(
-            &prepared,
-            &storage,
-            &[Datum::Int32(5)],
-            ExecMode::Sequential,
-        )
-        .unwrap();
+        let ok = execute(&prepared, &storage, &[Datum::Int32(5)]).unwrap();
         assert_eq!(ok.rows.len(), 5);
     }
 }

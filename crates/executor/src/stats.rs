@@ -1,12 +1,12 @@
 //! Execution statistics.
 //!
-//! Counters are collected **per segment** in a [`SegmentStats`] (each
-//! worker thread owns its own slot under parallel execution) and merged
+//! Counters are collected **per segment** in a [`SegmentStats`] (a
+//! worker locks only the slot of the segment it runs) and merged
 //! deterministically — in segment order, with order-insensitive set
 //! unions and sums — into the query-level [`ExecutionStats`]. Every
-//! merged counter is therefore identical between sequential and
-//! parallel execution of the same plan; only `elapsed` is
-//! mode-dependent (wall-clock per worker vs. a share of one thread).
+//! merged counter is therefore identical at every worker count for the
+//! same plan; only `elapsed` depends on it (time on concurrent workers
+//! vs. a share of one thread).
 
 use mpp_common::{MotionId, PartOid, SegmentId, TableOid};
 use std::collections::{HashMap, HashSet};
@@ -15,10 +15,10 @@ use std::time::Duration;
 /// Counters collected by one segment (worker) during one execution.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SegmentStats {
-    /// Wall-clock time this segment spent executing its slices. Under
-    /// `ExecMode::Parallel` this is the worker thread's own time; under
-    /// `ExecMode::Sequential` it is the segment's share of the single
-    /// driver thread. Excluded from cross-mode equivalence.
+    /// Wall-clock time this segment's tasks spent executing its slices:
+    /// on several workers, time on whichever worker ran them; on one,
+    /// the segment's share of the calling thread. Excluded from
+    /// worker-count equivalence.
     pub elapsed: Duration,
     /// Distinct leaf partitions this segment scanned, per root table.
     pub parts_scanned: HashMap<TableOid, HashSet<PartOid>>,

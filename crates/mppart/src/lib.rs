@@ -253,7 +253,6 @@ pub struct MppDb {
     optimizer: Optimizer,
     legacy: LegacyPlanner,
     gen: ColRefGenerator,
-    exec_mode: ExecMode,
     exec_engine: ExecEngine,
     sched: SchedConfig,
 }
@@ -277,25 +276,9 @@ impl MppDb {
             optimizer: Optimizer::new(catalog.clone(), config),
             legacy: LegacyPlanner::new(catalog),
             gen: ColRefGenerator::new(),
-            exec_mode: ExecMode::Sequential,
             exec_engine: ExecEngine::default(),
             sched: SchedConfig::default(),
         }
-    }
-
-    /// Same database, executing queries under the given [`ExecMode`]
-    /// (per-segment worker threads when `Parallel`).
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> MppDb {
-        self.exec_mode = mode;
-        self
-    }
-
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// Same database, executing queries on the given [`ExecEngine`]
@@ -314,7 +297,8 @@ impl MppDb {
     }
 
     /// Same database, with an explicit morsel-scheduler configuration
-    /// (worker count, morsel size).
+    /// (worker count, morsel size). The default runs each query on one
+    /// worker, the calling thread.
     pub fn with_sched_config(mut self, sched: SchedConfig) -> MppDb {
         self.sched = sched;
         self
@@ -495,7 +479,6 @@ impl MppDb {
             &self.storage,
             &plan,
             params,
-            self.exec_mode,
             self.exec_engine,
             &self.sched,
             cancel,
@@ -592,7 +575,6 @@ impl MppDb {
         let out = q.prepared.execute_stream_sched(
             &self.storage,
             params,
-            self.exec_mode,
             self.exec_engine,
             &self.sched,
             cancel,
@@ -950,7 +932,7 @@ mod tests {
     fn parallel_mode_matches_sequential_through_sql() {
         let seq_db = MppDb::new(4);
         setup_rs(seq_db.storage(), &SynthConfig::default()).unwrap();
-        let par_db = MppDb::new(4).with_exec_mode(ExecMode::Parallel);
+        let par_db = MppDb::new(4).with_sched_config(SchedConfig::with_workers(4));
         setup_rs(par_db.storage(), &SynthConfig::default()).unwrap();
         for q in [
             "SELECT count(*) FROM r WHERE b < 100",

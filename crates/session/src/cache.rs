@@ -1,7 +1,7 @@
 //! The process-wide plan cache: sharded, LRU-evicting, version-checked.
 //!
-//! Keys are (normalized SQL, planner flavor, execution mode) — the three
-//! inputs that determine the physical plan. Values are fully prepared
+//! Keys are (normalized SQL, planner flavor) — the two inputs that
+//! determine the physical plan. Values are fully prepared
 //! statements ([`mppart::PreparedQuery`]) behind `Arc`s, so a cache hit
 //! shares not just the plan but the executor's compiled-expression
 //! templates with every concurrent user.
@@ -18,7 +18,7 @@
 //! plan alive, and storage reads of partitions dropped mid-flight
 //! simply see no rows — so invalidation is safe at any point.
 
-use mppart::{CacheInfo, ExecMode, Planner, PreparedQuery};
+use mppart::{CacheInfo, Planner, PreparedQuery};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -32,13 +32,12 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 const SHARDS: usize = 8;
 
 /// What determines a cached plan: the canonical statement text (see
-/// [`crate::normalize_sql`]), which planner produced it, and which
-/// execution mode it was sliced for.
+/// [`crate::normalize_sql`]) and which planner produced it. How many
+/// workers execute it is not part of the plan.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     pub sql: String,
     pub planner: Planner,
-    pub mode: ExecMode,
 }
 
 struct Entry {
@@ -210,7 +209,6 @@ mod tests {
         CacheKey {
             sql: sql.into(),
             planner: Planner::Orca,
-            mode: ExecMode::Sequential,
         }
     }
 

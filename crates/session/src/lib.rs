@@ -10,7 +10,7 @@
 //! * [`Session`] — a lightweight per-client handle. Its [`Session::sql`]
 //!   is a drop-in for `MppDb::sql`, except statements transparently hit
 //!   the shared plan cache: parse/bind/optimize are paid once per
-//!   distinct (normalized text, planner, exec-mode) triple, process-wide.
+//!   distinct (normalized text, planner) pair, process-wide.
 //! * [`Session::prepare`] → [`PreparedStatement`] — the explicit
 //!   compile-once/execute-many handle. Parameters are bound per
 //!   execution; partition OIDs are re-resolved by the plan's
@@ -66,7 +66,7 @@ impl SessionCtx {
         SessionCtx::with_db(MppDb::new(num_segments), DEFAULT_CACHE_CAPACITY)
     }
 
-    /// Wrap an existing database (any exec mode / optimizer config) with
+    /// Wrap an existing database (any scheduler / optimizer config) with
     /// a plan cache of `cache_capacity` entries (0 disables caching).
     pub fn with_db(db: MppDb, cache_capacity: usize) -> Arc<SessionCtx> {
         Arc::new(SessionCtx {
@@ -234,7 +234,6 @@ impl Session {
         let key = CacheKey {
             sql: normalize_sql(text)?,
             planner: self.planner,
-            mode: db.exec_mode(),
         };
         let epoch = db.planning_epoch();
         match self.ctx.cache.lookup(&key, epoch) {

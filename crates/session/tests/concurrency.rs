@@ -7,11 +7,11 @@ use mpp_session::{Session, SessionCtx};
 use mppart::common::{Datum, Row};
 use mppart::testing::sorted;
 use mppart::workloads::{setup_rs, SynthConfig};
-use mppart::{ExecMode, MppDb};
+use mppart::{MppDb, SchedConfig};
 use std::sync::Arc;
 
-fn ctx_with_mode(mode: ExecMode) -> Arc<SessionCtx> {
-    let db = MppDb::new(3).with_exec_mode(mode);
+fn ctx_with_workers(workers: usize) -> Arc<SessionCtx> {
+    let db = MppDb::new(3).with_sched_config(SchedConfig::with_workers(workers));
     setup_rs(
         db.storage(),
         &SynthConfig {
@@ -45,8 +45,8 @@ fn run_all(s: &Session) -> Vec<Vec<Row>> {
 
 #[test]
 fn n_sessions_match_the_sequential_reference() {
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        let ctx = ctx_with_mode(mode);
+    for workers in [1, 3] {
+        let ctx = ctx_with_workers(workers);
         // Reference: one session, one pass, before any caching happened.
         let reference = run_all(&ctx.session());
 
@@ -66,7 +66,7 @@ fn n_sessions_match_the_sequential_reference() {
         });
         for per_session in &results {
             for pass in per_session {
-                assert_eq!(pass, &reference, "mode={mode:?}");
+                assert_eq!(pass, &reference, "workers={workers}");
             }
         }
 
@@ -74,20 +74,20 @@ fn n_sessions_match_the_sequential_reference() {
         // and the cache never held more than the distinct key count.
         let info = ctx.cache().info(false);
         let total = ((SESSIONS * ROUNDS + 1) * QUERIES.len()) as u64;
-        assert_eq!(info.hits + info.misses, total, "mode={mode:?}");
+        assert_eq!(info.hits + info.misses, total, "workers={workers}");
         assert!(ctx.cache().len() <= QUERIES.len());
         // Racing first-misses are allowed, but the steady state is hits.
         assert!(
             info.hits >= (SESSIONS * (ROUNDS - 1) * QUERIES.len()) as u64,
-            "mode={mode:?}: too few hits: {info:?}"
+            "workers={workers}: too few hits: {info:?}"
         );
-        assert_eq!(info.evictions, 0, "mode={mode:?}");
+        assert_eq!(info.evictions, 0, "workers={workers}");
     }
 }
 
 #[test]
 fn ddl_racing_with_queries_stays_exact() {
-    let ctx = ctx_with_mode(ExecMode::Sequential);
+    let ctx = ctx_with_workers(1);
     let s = ctx.session();
     // DDL churns a *different* table, so every query answer is still
     // uniquely determined — invalidation may cost re-plans, never rows.
@@ -127,7 +127,7 @@ fn ddl_racing_with_queries_stays_exact() {
 
 #[test]
 fn one_prepared_statement_shared_by_many_threads() {
-    let ctx = ctx_with_mode(ExecMode::Sequential);
+    let ctx = ctx_with_workers(1);
     let s = ctx.session();
     let q = Arc::new(s.prepare("SELECT count(*) FROM r WHERE b < $1").unwrap());
     let expect = |hi: i32| {

@@ -1,18 +1,18 @@
 //! Acceptance property: `PreparedStatement::execute` with differing
 //! parameters returns exactly what a fresh `sql_with_params` of the same
 //! statement returns — same rows, same partitions scanned — across both
-//! planner flavors and both execution modes.
+//! planner flavors and at one worker and one worker per segment.
 
 use mpp_session::SessionCtx;
 use mppart::common::Datum;
 use mppart::testing::sorted;
 use mppart::workloads::{setup_rs, SynthConfig};
-use mppart::{ExecMode, MppDb, Planner};
+use mppart::{MppDb, Planner, SchedConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn ctx(seed: u64, mode: ExecMode) -> Arc<SessionCtx> {
-    let db = MppDb::new(3).with_exec_mode(mode);
+fn ctx(seed: u64, workers: usize) -> Arc<SessionCtx> {
+    let db = MppDb::new(3).with_sched_config(SchedConfig::with_workers(workers));
     setup_rs(
         db.storage(),
         &SynthConfig {
@@ -40,8 +40,8 @@ proptest! {
         seed in 0u64..25,
     ) {
         let sql = "SELECT * FROM r WHERE b = $1 OR b > $2";
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let ctx = ctx(seed, mode);
+        for workers in [1, 3] {
+            let ctx = ctx(seed, workers);
             let r_oid = ctx.db().catalog().table_by_name("r").unwrap().oid;
             for planner in [Planner::Orca, Planner::Legacy] {
                 let session = ctx.session().with_planner(planner);
@@ -54,14 +54,14 @@ proptest! {
                     prop_assert_eq!(
                         sorted(got.rows),
                         sorted(fresh.rows),
-                        "params=({},{}) planner={:?} mode={:?}",
-                        a, b, planner, mode
+                        "params=({},{}) planner={:?} workers={:?}",
+                        a, b, planner, workers
                     );
                     prop_assert_eq!(
                         got.stats.parts_scanned_for(r_oid),
                         fresh.stats.parts_scanned_for(r_oid),
-                        "params=({},{}) planner={:?} mode={:?}",
-                        a, b, planner, mode
+                        "params=({},{}) planner={:?} workers={:?}",
+                        a, b, planner, workers
                     );
                 }
             }
@@ -76,7 +76,7 @@ proptest! {
         seed in 0u64..25,
     ) {
         let sql = "SELECT * FROM r WHERE b < $1";
-        let ctx = ctx(seed, ExecMode::Sequential);
+        let ctx = ctx(seed, 1);
         let session = ctx.session();
         let params = [Datum::Int32(v)];
         let first = session.sql_with_params(sql, &params).unwrap();

@@ -1,20 +1,24 @@
 //! The streaming execution path is the *one* implementation — the
 //! collecting APIs are wrappers over it. These tests pin the contract:
 //! streamed chunks reassemble to exactly the collected result (rows and
-//! stats) across engines, modes and planners; large results arrive in
-//! multiple chunks; a sink or token can stop a query mid-stream and the
+//! stats) across engines, worker counts and planners; large results
+//! arrive in multiple chunks; a sink or token can stop a query mid-stream and the
 //! partial statistics survive the error.
 
 use mpp_session::SessionCtx;
 use mppart::common::{Datum, Row};
 use mppart::testing::sorted;
 use mppart::workloads::{setup_rs, SynthConfig};
-use mppart::{CancelToken, ExecEngine, ExecMode, MppDb, ResultChunk, StreamOutcome};
+use mppart::{CancelToken, ExecEngine, MppDb, ResultChunk, SchedConfig, StreamOutcome};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn ctx_with(mode: ExecMode, engine: ExecEngine) -> Arc<SessionCtx> {
-    let db = MppDb::new(3).with_exec_mode(mode).with_exec_engine(engine);
+/// Three segments run by `workers` workers (one is the served default:
+/// the root Gather streams).
+fn ctx_with(workers: usize, engine: ExecEngine) -> Arc<SessionCtx> {
+    let db = MppDb::new(3)
+        .with_sched_config(SchedConfig::with_workers(workers))
+        .with_exec_engine(engine);
     setup_rs(
         db.storage(),
         &SynthConfig {
@@ -54,20 +58,20 @@ const STATEMENTS: &[&str] = &[
 
 #[test]
 fn streamed_chunks_reassemble_to_the_collected_result() {
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+    for workers in [1, 3] {
         for engine in [ExecEngine::Row, ExecEngine::Batch] {
-            let ctx = ctx_with(mode, engine);
+            let ctx = ctx_with(workers, engine);
             let session = ctx.session();
             for sql in STATEMENTS {
                 let collected = session.sql(sql).unwrap();
                 let (rows, out) = stream_all(&ctx, sql, &[]);
                 out.result
                     .as_ref()
-                    .unwrap_or_else(|e| panic!("{mode:?}/{engine:?} {sql}: {e}"));
+                    .unwrap_or_else(|e| panic!("{workers:?}/{engine:?} {sql}: {e}"));
                 assert_eq!(
                     sorted(rows),
                     sorted(collected.rows),
-                    "{mode:?}/{engine:?}: rows diverge for {sql}"
+                    "{workers:?}/{engine:?}: rows diverge for {sql}"
                 );
                 assert_eq!(out.stats.rows_returned, collected.stats.rows_returned);
                 assert_eq!(out.stats.tuples_scanned, collected.stats.tuples_scanned);
@@ -80,7 +84,7 @@ fn streamed_chunks_reassemble_to_the_collected_result() {
 
 #[test]
 fn large_results_arrive_in_multiple_chunks() {
-    let ctx = ctx_with(ExecMode::Sequential, ExecEngine::Batch);
+    let ctx = ctx_with(1, ExecEngine::Batch);
     let session = ctx.session();
     let cancel = CancelToken::new();
     let mut chunks = 0usize;
@@ -99,9 +103,11 @@ fn large_results_arrive_in_multiple_chunks() {
     );
 }
 
-#[test]
-fn sink_error_aborts_the_query_and_keeps_partial_stats() {
-    let ctx = ctx_with(ExecMode::Sequential, ExecEngine::Batch);
+/// `tuples_scanned` of `SELECT a, b FROM r` on `workers` workers when
+/// the sink fails on the first chunk (the network layer's "client went
+/// away"), and of the full query.
+fn scanned_when_sink_fails(workers: usize) -> (u64, u64) {
+    let ctx = ctx_with(workers, ExecEngine::Batch);
     let session = ctx.session();
     let full = session.sql("SELECT a, b FROM r").unwrap();
 
@@ -109,23 +115,36 @@ fn sink_error_aborts_the_query_and_keeps_partial_stats() {
     let mut seen = 0usize;
     let mut sink = |chunk: ResultChunk| {
         seen += chunk.len();
-        // The network layer's "client went away": fail the sink after
-        // the first chunk.
         Err(mppart::common::Error::Cancelled("reader gone".into()))
     };
     let out = session.sql_stream_with_params("SELECT a, b FROM r", &[], &cancel, &mut sink);
-    let err = out.result.unwrap_err();
-    assert_eq!(err.kind(), "cancelled");
+    assert_eq!(out.result.as_ref().unwrap_err().kind(), "cancelled");
     assert!(seen > 0, "the first chunk must have been delivered");
     assert!(seen < 2_000, "the query must not have run to completion");
     // Partial stats survive the error (what an Error frame carries).
-    assert!(out.stats.tuples_scanned > 0);
     assert!(out.stats.rows_returned < full.stats.rows_returned);
+    (out.stats.tuples_scanned, full.stats.tuples_scanned)
+}
+
+#[test]
+fn sink_error_aborts_the_query_and_keeps_partial_stats() {
+    // One worker streams the root Gather per segment: the failing sink
+    // stops the scan before the later segments run.
+    let (scanned, full) = scanned_when_sink_fails(1);
+    assert!(scanned > 0 && scanned < full, "{scanned} of {full}");
+}
+
+#[test]
+fn sink_error_on_a_staged_root_reports_the_full_scan() {
+    // Three workers stage the root Gather: every segment has scanned
+    // before the sink sees its first chunk.
+    let (scanned, full) = scanned_when_sink_fails(3);
+    assert_eq!(scanned, full);
 }
 
 #[test]
 fn cancel_token_stops_streaming_between_chunks() {
-    let ctx = ctx_with(ExecMode::Sequential, ExecEngine::Batch);
+    let ctx = ctx_with(1, ExecEngine::Batch);
     let session = ctx.session();
 
     let cancel = CancelToken::new();
@@ -145,7 +164,7 @@ fn cancel_token_stops_streaming_between_chunks() {
 
 #[test]
 fn expired_timeout_reports_timed_out() {
-    let ctx = ctx_with(ExecMode::Sequential, ExecEngine::Batch);
+    let ctx = ctx_with(1, ExecEngine::Batch);
     let session = ctx.session();
     let cancel = CancelToken::with_timeout(Duration::ZERO);
     let mut sink = |_chunk: ResultChunk| Ok(());
@@ -156,7 +175,7 @@ fn expired_timeout_reports_timed_out() {
 
 #[test]
 fn prepared_statements_stream_identically_to_execute() {
-    let ctx = ctx_with(ExecMode::Sequential, ExecEngine::Batch);
+    let ctx = ctx_with(1, ExecEngine::Batch);
     let session = ctx.session();
     let ps = session.prepare("SELECT a, b FROM r WHERE b = $1").unwrap();
 
@@ -183,7 +202,7 @@ fn prepared_statements_stream_identically_to_execute() {
 
 #[test]
 fn ddl_streams_with_no_chunks_and_bumps_the_catalog() {
-    let ctx = ctx_with(ExecMode::Sequential, ExecEngine::Batch);
+    let ctx = ctx_with(1, ExecEngine::Batch);
     let session = ctx.session();
 
     let cancel = CancelToken::new();

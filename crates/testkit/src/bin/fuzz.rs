@@ -11,10 +11,12 @@
 //! `--seed from-git-sha` derives the base seed from `git rev-parse HEAD`
 //! so every CI commit explores fresh seeds while staying reproducible.
 //! `--replay FILE` runs a single `.case` file instead of generating.
+//! A campaign prints its wall time when it finishes, pass or fail.
 
 use mpp_testkit::{corpus, gen_case, minimize, run_case, Case};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
 struct Opts {
     cases: u64,
@@ -122,6 +124,14 @@ fn main() -> ExitCode {
         "fuzz: {} case(s) from seed {} (shrink: {})",
         opts.cases, opts.seed, opts.shrink
     );
+    let start = Instant::now();
+    let code = campaign(&opts);
+    println!("fuzz: wall time {:.1} s", start.elapsed().as_secs_f64());
+    code
+}
+
+/// Run the generated cases; on the first failure shrink, save and fail.
+fn campaign(opts: &Opts) -> ExitCode {
     for i in 0..opts.cases {
         let seed = opts.seed.wrapping_add(i);
         let case = gen_case(seed);

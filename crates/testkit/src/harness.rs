@@ -1,6 +1,7 @@
 //! The differential harness: run one [`Case`] against the real engine in
-//! every {planner} × {exec mode} × {exec engine} combination and against
-//! the naive [`Oracle`], and diff everything that should agree:
+//! every {planner} × {exec engine} combination, under every scheduler
+//! shape of [`sched_axis`], and against the naive [`Oracle`], and diff
+//! everything that should agree:
 //!
 //! 1. **Results** — the row multiset of every combo must equal the
 //!    oracle's (floats compared within epsilon, since distributed
@@ -18,8 +19,9 @@
 //!    to Orca always; to the legacy planner only without parameters
 //!    (legacy resolves partitions at plan time, so `$n` defeats its
 //!    static elimination by design).
-//! 5. **Prepared statements** — `prepare` + `execute_prepared` must
-//!    agree with the one-shot path under both planners.
+//! 5. **Prepared statements** — `prepare` + `execute_prepared` on the
+//!    served configuration (default engine and scheduler) must agree
+//!    with the oracle under both planners.
 //!
 //! Every query additionally runs under both settings of the **adaptive
 //! axis** ([`adaptive_axis`]): per-partition plan specialization plus
@@ -31,7 +33,7 @@ use crate::oracle::{static_upper_bound, Oracle, OracleResult};
 use mpp_common::{Datum, Result};
 use mpp_expr::ColRefGenerator;
 use mppart::testing::approx_same_bag;
-use mppart::{ExecEngine, ExecMode, MppDb, Planner, QueryOutcome, SchedConfig};
+use mppart::{ExecEngine, MppDb, Planner, QueryOutcome, SchedConfig};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -39,48 +41,45 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Combo {
     pub planner: Planner,
-    pub mode: ExecMode,
     pub engine: ExecEngine,
 }
 
 impl fmt::Display for Combo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}/{:?}/{:?}", self.planner, self.mode, self.engine)
+        write!(f, "{:?}/{:?}", self.planner, self.engine)
     }
 }
 
-/// All eight {Orca,Legacy} × {Sequential,Parallel} × {Row,Batch} cells.
+/// All four {Orca,Legacy} × {Row,Batch} cells.
 pub fn combos() -> Vec<Combo> {
-    let mut v = Vec::with_capacity(8);
+    let mut v = Vec::with_capacity(4);
     for planner in [Planner::Orca, Planner::Legacy] {
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            for engine in [ExecEngine::Row, ExecEngine::Batch] {
-                v.push(Combo {
-                    planner,
-                    mode,
-                    engine,
-                });
-            }
+        for engine in [ExecEngine::Row, ExecEngine::Batch] {
+            v.push(Combo { planner, engine });
         }
     }
     v
 }
 
-/// Scheduler configurations every combo runs under: the default, and a
-/// stress shape — many tiny morsels, more workers than a small case has
-/// segments — that forces multi-morsel decomposition with stealing even
-/// on the fuzzer's little tables. Orthogonal to [`combos`]; the combo
-/// matrix itself stays 8 cells.
+/// Scheduler configurations every combo runs under. The worker count
+/// decides whether a root Gather streams (one worker) or is staged
+/// (more), so the axis covers both, each with multi-morsel merges:
+///
+/// * `default` — the served shape: one worker, 4,096-row morsels,
+///   streamed root;
+/// * `morsel7x1` — streamed root with tiny morsels, so even the
+///   fuzzer's little tables split into several morsels per segment;
+/// * `morsel7x3` — staged root, tiny morsels and more workers than a
+///   small case has segments: decomposition with stealing.
 pub fn sched_axis() -> Vec<(&'static str, SchedConfig)> {
+    let tiny = |workers| SchedConfig {
+        workers: Some(workers),
+        morsel_rows: 7,
+    };
     vec![
         ("default", SchedConfig::default()),
-        (
-            "morsel7x3",
-            SchedConfig {
-                workers: Some(3),
-                morsel_rows: 7,
-            },
-        ),
+        ("morsel7x1", tiny(1)),
+        ("morsel7x3", tiny(3)),
     ]
 }
 
@@ -243,7 +242,9 @@ fn diff_outcomes(engine: Result<()>, oracle: Result<()>) -> std::result::Result<
     }
 }
 
-/// Run one query action across all eight combos plus both prepared paths.
+/// Run one query action across every combo under every scheduler shape,
+/// plus both prepared paths: 2 adaptive × (3 sched × 4 combos + 2
+/// prepared) = 28 engine executions.
 fn run_query(
     db: &mut MppDb,
     oracle: &Oracle,
@@ -265,16 +266,11 @@ fn run_query(
         for (sched_name, sched) in sched_axis() {
             db.set_sched_config(sched);
             for combo in combos() {
-                db.set_exec_mode(combo.mode);
                 db.set_exec_engine(combo.engine);
                 let engine_out = db.run_sql(&sql, &params, combo.planner);
                 let check =
                     diff_query(db, oracle, case, q, combo.planner, &engine_out, &oracle_out);
-                db.set_exec_mode(ExecMode::Sequential);
-                db.set_exec_engine(ExecEngine::Row);
                 if let Err((kind, detail)) = check {
-                    db.set_sched_config(SchedConfig::default());
-                    db.set_adaptive_plans(true);
                     return Err(Failure {
                         action,
                         combo: format!("{combo}/{sched_name}/{axis_name}"),
@@ -284,16 +280,17 @@ fn run_query(
                 }
             }
         }
+        // Prepared-statement path, both planners, on the served engine
+        // and scheduler: template-cached `bind_params` execution is what
+        // every server query runs.
+        db.set_exec_engine(ExecEngine::default());
         db.set_sched_config(SchedConfig::default());
-
-        // Prepared-statement path, both planners (default mode/engine).
         for planner in [Planner::Orca, Planner::Legacy] {
             let engine_out = db
                 .prepare_with(&sql, planner)
                 .and_then(|h| db.execute_prepared(&h, &params));
             let check = diff_query(db, oracle, case, q, planner, &engine_out, &oracle_out);
             if let Err((kind, detail)) = check {
-                db.set_adaptive_plans(true);
                 return Err(Failure {
                     action,
                     combo: format!("{planner:?}/prepared/{axis_name}"),

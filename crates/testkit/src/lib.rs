@@ -14,11 +14,11 @@
 //!   no motions, no compiled or vectorized anything. It executes the same
 //!   bound logical plans and additionally tracks per-row *provenance*
 //!   (which leaf partition each contributing row was stored in).
-//! - [`harness`] — runs each case through all eight
-//!   {Orca,Legacy} × {Sequential,Parallel} × {Row,Batch} combos — each
-//!   under both scheduler configs of [`harness::sched_axis`] (the
-//!   default morsel scheduler and a stress schedule with tiny morsels
-//!   and 3 workers) — and the prepared-statement path, diffing row
+//! - [`harness`] — runs each case through all four
+//!   {Orca,Legacy} × {Row,Batch} combos — each under the three scheduler
+//!   configs of [`harness::sched_axis`] (the served one-worker default,
+//!   and tiny morsels on one worker and on three) — and the
+//!   prepared-statement path on the served configuration, diffing row
 //!   multisets, error kinds,
 //!   partition-elimination *soundness* (`parts_scanned` ⊇ partitions with
 //!   qualifying rows) and, for exactly-analyzable static filters,

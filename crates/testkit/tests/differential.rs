@@ -1,6 +1,6 @@
 //! A bounded differential run inside `cargo test`: a few dozen generated
 //! cases through the full harness, enough to catch gross regressions in
-//! any {planner} × {exec mode} × {exec engine} cell without the runtime
+//! any {planner} × {exec engine} × {scheduler} cell without the runtime
 //! of a real fuzz campaign (`scripts/fuzz.sh` does that). Seeds are
 //! fixed, so a failure here is deterministic — reproduce it with
 //! `cargo run -p mpp-testkit --bin fuzz -- --cases 1 --seed <seed>`.

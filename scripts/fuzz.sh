@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Differential fuzz campaign: generate random workloads, run each through
-# every {planner} × {exec mode} × {exec engine} combination — each cell
-# under BOTH adaptive-planning settings (per-partition specialization +
-# cardinality feedback on, then off) — and the naive oracle, and diff
-# results, error kinds, and partition-elimination soundness. On failure
+# Differential fuzz campaign: generate random workloads, run each query
+# through every {planner} × {exec engine} combination under three
+# scheduler shapes (one worker with 4,096-row and 7-row morsels, three
+# workers with 7-row morsels) plus the prepared-statement path on the
+# served configuration — all under BOTH adaptive-planning settings
+# (per-partition specialization + cardinality feedback on, then off):
+# 2 × (3 × 4 + 2) = 28 engine runs per query — and through the naive
+# oracle, and diff results, error kinds, and partition-elimination
+# soundness. The fuzz binary prints its wall time when it finishes. On failure
 # the case is shrunk to a minimal reproducer (pinned to the adaptive
 # setting that diverged, when one setting alone reproduces it) and
 # written to testkit/corpus/.

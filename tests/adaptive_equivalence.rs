@@ -2,7 +2,7 @@
 //! specialization plus runtime cardinality feedback may change plan
 //! *shape* — never results. Over random skew, random predicates and
 //! random seeds, an adaptive database and an adaptive-off database over
-//! identical data must agree in every {planner} × {exec mode} × {exec
+//! identical data must agree in every {planner} × {worker count} × {exec
 //! engine} cell, on the prepared path with parameters, and across a
 //! mid-sequence feedback-triggered re-optimization.
 
@@ -10,18 +10,19 @@ use mppart::common::{Datum, Row};
 use mppart::core::OptimizerConfig;
 use mppart::testing::{approx_same_bag, sorted};
 use mppart::workloads::{setup_rs, setup_skewed, setup_skewed_default, SynthConfig};
-use mppart::{ExecEngine, ExecMode, MppDb, Planner};
+use mppart::{ExecEngine, MppDb, Planner, SchedConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// All eight {Orca,Legacy} × {Sequential,Parallel} × {Row,Batch} cells.
-fn combos() -> Vec<(Planner, ExecMode, ExecEngine)> {
+/// All eight {Orca,Legacy} × {1 worker, 1 per segment} × {Row,Batch}
+/// cells (the databases below have 4 segments).
+fn combos() -> Vec<(Planner, usize, ExecEngine)> {
     let mut v = Vec::new();
     for planner in [Planner::Orca, Planner::Legacy] {
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+        for workers in [1, 4] {
             for engine in [ExecEngine::Row, ExecEngine::Batch] {
-                v.push((planner, mode, engine));
+                v.push((planner, workers, engine));
             }
         }
     }
@@ -66,25 +67,21 @@ fn assert_equiv_all_combos(
     sql: &str,
     params: &[Datum],
 ) -> std::result::Result<(), TestCaseError> {
-    for (planner, mode, engine) in combos() {
-        on.set_exec_mode(mode);
-        on.set_exec_engine(engine);
-        off.set_exec_mode(mode);
-        off.set_exec_engine(engine);
+    for (planner, workers, engine) in combos() {
+        for db in [&mut *on, &mut *off] {
+            db.set_sched_config(SchedConfig::with_workers(workers));
+            db.set_exec_engine(engine);
+        }
         let a = on.run_sql(sql, params, planner).unwrap();
         let b = off.run_sql(sql, params, planner).unwrap();
         prop_assert!(
             approx_same_bag(a.rows.clone(), b.rows.clone()),
-            "adaptive vs non-adaptive rows differ in {planner:?}/{mode:?}/{engine:?}: \
+            "adaptive vs non-adaptive rows differ in {planner:?}/{workers}w/{engine:?}: \
              {} vs {} row(s)\n  sql: {sql}",
             a.rows.len(),
             b.rows.len()
         );
     }
-    on.set_exec_mode(ExecMode::Sequential);
-    on.set_exec_engine(ExecEngine::Row);
-    off.set_exec_mode(ExecMode::Sequential);
-    off.set_exec_engine(ExecEngine::Row);
     Ok(())
 }
 

@@ -1,5 +1,5 @@
 //! Property-based equivalence of the two execution engines: over random
-//! data, random predicates, both planners and both exec modes, the
+//! data, random predicates, both planners and 1 or 1-per-segment workers, the
 //! vectorized block engine (`ExecEngine::Batch`) must be observationally
 //! identical to the row-at-a-time interpreter (`ExecEngine::Row`) — the
 //! same multiset of rows, the same partitions scanned and tuples read,
@@ -9,7 +9,7 @@ use mppart::common::Datum;
 use mppart::core::OptimizerConfig;
 use mppart::testing::sorted;
 use mppart::workloads::{setup_nullable, setup_rs, setup_skewed, SynthConfig};
-use mppart::{ExecEngine, ExecMode, MppDb, Planner, SchedConfig};
+use mppart::{ExecEngine, MppDb, Planner, SchedConfig};
 use proptest::prelude::*;
 
 /// A small random single-table predicate over `a` and the partition key
@@ -68,8 +68,8 @@ fn arb_pred() -> impl Strategy<Value = Pred> {
 }
 
 /// Two databases with identical synthetic data: one running the block
-/// engine, one running the row engine, both under `mode`.
-fn engine_pair(segs: usize, parts: usize, seed: u64, mode: ExecMode) -> (MppDb, MppDb) {
+/// engine, one running the row engine, both on `workers` workers.
+fn engine_pair(segs: usize, parts: usize, seed: u64, workers: usize) -> (MppDb, MppDb) {
     let cfg = SynthConfig {
         r_rows: 300,
         s_rows: 120,
@@ -84,7 +84,7 @@ fn engine_pair(segs: usize, parts: usize, seed: u64, mode: ExecMode) -> (MppDb, 
             num_segments: segs,
             ..OptimizerConfig::default()
         })
-        .with_exec_mode(mode)
+        .with_sched_config(SchedConfig::with_workers(workers))
         .with_exec_engine(engine);
         setup_rs(db.storage(), &cfg).unwrap();
         db
@@ -165,7 +165,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Selections over random predicates: identical rows, identical
-    /// partition-elimination work, in both exec modes.
+    /// partition-elimination work, on one worker and one per segment.
     #[test]
     fn batch_matches_row_on_selections(
         pred in arb_pred(),
@@ -174,8 +174,8 @@ proptest! {
         segs in 1usize..4,
     ) {
         let sql = format!("SELECT * FROM r WHERE {}", pred.to_sql());
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let (batch, row) = engine_pair(segs, parts, seed, mode);
+        for workers in [1, segs] {
+            let (batch, row) = engine_pair(segs, parts, seed, workers);
             assert_engines_agree(&batch, &row, &sql, &[])?;
         }
     }
@@ -188,7 +188,7 @@ proptest! {
         seed in 0u64..50,
         parts in 1usize..16,
     ) {
-        let (batch, row) = engine_pair(3, parts, seed, ExecMode::Parallel);
+        let (batch, row) = engine_pair(3, parts, seed, 3);
         for sql in [
             format!("SELECT * FROM r, s WHERE r.b = s.y AND r.a < {cutoff}"),
             format!("SELECT b, COUNT(*), SUM(a) FROM r WHERE a < {cutoff} GROUP BY b"),
@@ -208,8 +208,8 @@ proptest! {
         seed in 0u64..50,
         parts in 1usize..12,
     ) {
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let (batch, row) = engine_pair(2, parts, seed, mode);
+        for workers in [1, 2] {
+            let (batch, row) = engine_pair(2, parts, seed, workers);
             for sql in [
                 // Errors on rows where a % k == 0 (if any survive the filter).
                 format!("SELECT b / (a % {k}) FROM r WHERE b < 120"),
@@ -249,29 +249,26 @@ proptest! {
             format!("SELECT SUM(100 / (a % {k})) FROM r WHERE b < {cutoff}"),
         ];
         for workers in [1usize, 2, 4, 8] {
-            for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                let mk = |engine, sched: SchedConfig| {
-                    let db = MppDb::with_config(OptimizerConfig {
-                        num_segments: 4,
-                        ..OptimizerConfig::default()
-                    })
-                    .with_exec_mode(mode)
-                    .with_exec_engine(engine)
-                    .with_sched_config(sched);
-                    setup_skewed(db.storage(), "r", &cfg, 90, 0).unwrap();
-                    db
-                };
-                let batch = mk(
-                    ExecEngine::Batch,
-                    SchedConfig {
-                        workers: Some(workers),
-                        morsel_rows: 48,
-                    },
-                );
-                let row = mk(ExecEngine::Row, SchedConfig::default());
-                for sql in &queries {
-                    assert_engines_agree(&batch, &row, sql, &[])?;
-                }
+            let mk = |engine, sched: SchedConfig| {
+                let db = MppDb::with_config(OptimizerConfig {
+                    num_segments: 4,
+                    ..OptimizerConfig::default()
+                })
+                .with_exec_engine(engine)
+                .with_sched_config(sched);
+                setup_skewed(db.storage(), "r", &cfg, 90, 0).unwrap();
+                db
+            };
+            let batch = mk(
+                ExecEngine::Batch,
+                SchedConfig {
+                    workers: Some(workers),
+                    morsel_rows: 48,
+                },
+            );
+            let row = mk(ExecEngine::Row, SchedConfig::default());
+            for sql in &queries {
+                assert_engines_agree(&batch, &row, sql, &[])?;
             }
         }
     }
@@ -304,7 +301,7 @@ proptest! {
                 num_segments: 3,
                 ..OptimizerConfig::default()
             })
-            .with_exec_mode(ExecMode::Parallel)
+            .with_sched_config(SchedConfig::with_workers(3))
             .with_exec_engine(engine);
             setup_nullable(db.storage(), "rn", &cfg, null_pct).unwrap();
             db
@@ -335,7 +332,7 @@ proptest! {
         seed in 0u64..50,
         parts in 2usize..16,
     ) {
-        let (batch, row) = engine_pair(3, parts, seed, ExecMode::Parallel);
+        let (batch, row) = engine_pair(3, parts, seed, 3);
         let sql = "SELECT * FROM r WHERE b < $1";
         let bq = batch.prepare(sql).unwrap();
         let rq = row.prepare(sql).unwrap();
@@ -356,7 +353,7 @@ proptest! {
 /// reports vectorized rows and produced blocks, with no row fallback.
 #[test]
 fn batch_engine_reports_vectorized_work() {
-    let (batch, row) = engine_pair(3, 8, 7, ExecMode::Sequential);
+    let (batch, row) = engine_pair(3, 8, 7, 1);
     let sql = "SELECT b, COUNT(*) FROM r WHERE a < 150 GROUP BY b";
     let b = batch.sql(sql).unwrap();
     let r = row.sql(sql).unwrap();
@@ -408,7 +405,7 @@ mod agg_arm {
     use super::*;
     use mppart::common::value::ArithOp;
     use mppart::common::Row;
-    use mppart::executor::{execute_with_params_engine, QueryResult};
+    use mppart::executor::{execute_with_params_sched, QueryResult};
     use mppart::expr::{ColRef, Expr};
     use mppart::plan::{AggCall, AggFunc, PhysicalPlan};
 
@@ -658,12 +655,13 @@ mod agg_arm {
                 }),
             };
             let db = MppDb::new(segs);
-            for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                let run = |engine| execute_with_params_engine(db.storage(), &plan, &[], mode, engine);
+            for workers in [1, segs] {
+                let sched = SchedConfig::with_workers(workers);
+                let run = |engine| execute_with_params_sched(db.storage(), &plan, &[], engine, &sched);
                 assert_identical(
                     run(ExecEngine::Batch),
                     run(ExecEngine::Row),
-                    &format!("{mode:?} values plan"),
+                    &format!("{workers} worker(s) values plan"),
                 )?;
             }
 

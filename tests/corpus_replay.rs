@@ -1,14 +1,16 @@
 //! Replay every minimized reproducer in `testkit/corpus/` through the
-//! full differential harness: all eight {planner} × {exec mode} ×
-//! {exec engine} combinations plus both planners' prepared paths. Each
+//! full differential harness: all four {planner} × {exec engine}
+//! combinations under every scheduler shape, plus both planners'
+//! prepared paths. Each
 //! corpus file is a bug the fuzzer once found, shrunk to its essence; a
 //! failure here means the bug came back.
 
-use mpp_testkit::{combos, corpus, run_case};
+use mpp_testkit::{combos, corpus, run_case, sched_axis};
 
 #[test]
 fn corpus_replays_clean_across_all_combos() {
-    assert_eq!(combos().len(), 8, "the combo matrix changed size");
+    assert_eq!(combos().len(), 4, "the combo matrix changed size");
+    assert_eq!(sched_axis().len(), 3, "the scheduler axis changed size");
     let cases = corpus::load_all().expect("corpus must parse");
     assert!(
         !cases.is_empty(),

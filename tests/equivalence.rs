@@ -7,7 +7,7 @@ use mppart::common::{Datum, Row};
 use mppart::core::OptimizerConfig;
 use mppart::testing::{approx_same_bag, sorted};
 use mppart::workloads::{setup_nullable, setup_rs, setup_skewed, SynthConfig};
-use mppart::{ExecEngine, ExecMode, MppDb, Planner, SchedConfig};
+use mppart::{ExecEngine, MppDb, Planner, SchedConfig};
 use proptest::prelude::*;
 
 /// A randomly generated single-table predicate over `b` (the partition
@@ -233,9 +233,10 @@ proptest! {
     }
 }
 
-/// Two databases over the identical random schema and data, one per
-/// execution mode.
-fn mode_pair(segs: usize, parts: usize, seed: u64) -> (MppDb, MppDb) {
+/// Two databases over the identical random schema and data: the served
+/// default (one worker, streamed root Gather) and one worker per segment
+/// (staged root).
+fn worker_pair(segs: usize, parts: usize, seed: u64) -> (MppDb, MppDb) {
     let cfg = SynthConfig {
         r_rows: 300,
         s_rows: 120,
@@ -254,14 +255,14 @@ fn mode_pair(segs: usize, parts: usize, seed: u64) -> (MppDb, MppDb) {
         num_segments: segs,
         ..OptimizerConfig::default()
     })
-    .with_exec_mode(ExecMode::Parallel);
+    .with_sched_config(SchedConfig::with_workers(segs));
     setup_rs(par.storage(), &cfg).unwrap();
     (seq, par)
 }
 
-/// Assert the two modes returned the same multiset of rows and did the
-/// same partition-elimination work.
-fn assert_modes_agree(
+/// Assert both worker counts returned the same multiset of rows and did
+/// the same partition-elimination work.
+fn assert_worker_counts_agree(
     seq: &MppDb,
     par: &MppDb,
     sql: &str,
@@ -288,8 +289,8 @@ fn assert_modes_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Tentpole equivalence: per-segment parallel slice execution is
-    /// observationally identical to the sequential interpreter — same
+    /// Tentpole equivalence: one worker per segment is observationally
+    /// identical to one worker — same
     /// multiset of rows, identical `parts_scanned` — over random
     /// schemas (segment count, partition count) and random predicates.
     #[test]
@@ -299,14 +300,14 @@ proptest! {
         parts in 1usize..24,
         segs in 1usize..5,
     ) {
-        let (seq, par) = mode_pair(segs, parts, seed);
+        let (seq, par) = worker_pair(segs, parts, seed);
         let sql = format!("SELECT * FROM r WHERE {}", pred.to_sql());
-        assert_modes_agree(&seq, &par, &sql, &[])?;
+        assert_worker_counts_agree(&seq, &par, &sql, &[])?;
     }
 
     /// Nullable typed columns (validity bitmaps): three-valued predicate
     /// logic, NULL-skipping aggregates, and NULL group keys must behave
-    /// identically under sequential and parallel execution, on both
+    /// identically on one worker and on one per segment, on both
     /// planners' plans.
     #[test]
     fn parallel_matches_sequential_on_nullable_columns(
@@ -324,16 +325,16 @@ proptest! {
             a_domain: 200,
             seed,
         };
-        let mk = |mode| {
+        let mk = |workers| {
             let db = MppDb::with_config(OptimizerConfig {
                 num_segments: 3,
                 ..OptimizerConfig::default()
             })
-            .with_exec_mode(mode);
+            .with_sched_config(SchedConfig::with_workers(workers));
             setup_nullable(db.storage(), "rn", &cfg, null_pct).unwrap();
             db
         };
-        let (seq, par) = (mk(ExecMode::Sequential), mk(ExecMode::Parallel));
+        let (seq, par) = (mk(1), mk(3));
         for sql in [
             format!("SELECT * FROM rn WHERE v < {cutoff} OR v IS NULL"),
             format!("SELECT * FROM rn WHERE v IS NOT NULL AND b < {cutoff}"),
@@ -341,27 +342,27 @@ proptest! {
                      FROM rn WHERE a < {cutoff} GROUP BY b"),
             "SELECT v, COUNT(*) FROM rn GROUP BY v".to_string(),
         ] {
-            assert_modes_agree(&seq, &par, &sql, &[])?;
+            assert_worker_counts_agree(&seq, &par, &sql, &[])?;
         }
     }
 
     /// Joins exercise Motion staging and dynamic partition elimination;
-    /// both modes must agree there too.
+    /// both worker counts must agree there too.
     #[test]
     fn parallel_matches_sequential_on_joins(
         cutoff in 0i32..200,
         seed in 0u64..50,
         segs in 1usize..5,
     ) {
-        let (seq, par) = mode_pair(segs, 16, seed);
+        let (seq, par) = worker_pair(segs, 16, seed);
         let sql = format!(
             "SELECT count(*) FROM s, r WHERE r.b = s.b AND s.a < {cutoff}"
         );
-        assert_modes_agree(&seq, &par, &sql, &[])?;
+        assert_worker_counts_agree(&seq, &par, &sql, &[])?;
     }
 
     /// Prepared-statement parameters (paper §4.1): partition selection
-    /// driven by `$1` behaves identically under both modes, on the
+    /// driven by `$1` behaves identically at both worker counts, on the
     /// Orca-style and the legacy (init-plan OID gate) paths.
     #[test]
     fn parallel_matches_sequential_with_params(
@@ -369,9 +370,9 @@ proptest! {
         hi in 0i32..200,
         seed in 0u64..50,
     ) {
-        let (seq, par) = mode_pair(4, 20, seed);
+        let (seq, par) = worker_pair(4, 20, seed);
         let params = [Datum::Int32(v), Datum::Int32(hi)];
-        assert_modes_agree(
+        assert_worker_counts_agree(
             &seq,
             &par,
             "SELECT * FROM r WHERE b = $1 OR b > $2",
@@ -392,20 +393,19 @@ proptest! {
     /// heavily skewed data (one partition holding ~90% of the rows),
     /// every worker count returns the identical multiset of rows, does
     /// the identical partition-elimination work and surfaces the
-    /// identical error outcome as the row engine run sequentially, on
-    /// both planners and both exec modes.
+    /// identical error outcome as the row engine on one worker, on both
+    /// planners.
     #[test]
     fn worker_count_is_invisible_on_skewed_data(
         seed in 0u64..20,
         cutoff in 20i32..180,
         k in 1i32..24,
     ) {
-        let mk = |sched: SchedConfig, mode: ExecMode| {
+        let mk = |sched: SchedConfig| {
             let db = MppDb::with_config(OptimizerConfig {
                 num_segments: 4,
                 ..OptimizerConfig::default()
             })
-            .with_exec_mode(mode)
             .with_sched_config(sched);
             let cfg = SynthConfig {
                 r_rows: 400,
@@ -425,55 +425,49 @@ proptest! {
             // Division by zero on some rows (whenever a % k hits 0).
             format!("SELECT 100 / (a % {k}) FROM r WHERE b < {cutoff}"),
         ];
-        let baseline = mk(SchedConfig::default(), ExecMode::Sequential)
-            .with_exec_engine(ExecEngine::Row);
+        let baseline = mk(SchedConfig::default()).with_exec_engine(ExecEngine::Row);
         for workers in [1usize, 2, 4, 8] {
-            for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                let db = mk(
-                    SchedConfig {
-                        workers: Some(workers),
-                        // Small morsels so skewed partitions split into many.
-                        morsel_rows: 48,
-                    },
-                    mode,
-                );
-                for sql in &queries {
-                    for planner in [Planner::Orca, Planner::Legacy] {
-                        let want = baseline.run_sql(sql, &[], planner);
-                        let got = db.run_sql(sql, &[], planner);
-                        match (want, got) {
-                            (Ok(w), Ok(g)) => {
-                                prop_assert_eq!(
-                                    sorted(w.rows), sorted(g.rows),
-                                    "rows differ: {} w={} {:?} {:?}", sql, workers, mode, planner
-                                );
-                                prop_assert_eq!(
-                                    &w.stats.parts_scanned, &g.stats.parts_scanned,
-                                    "parts_scanned differ: {} w={} {:?} {:?}", sql, workers, mode, planner
-                                );
-                                prop_assert_eq!(
-                                    w.stats.tuples_scanned, g.stats.tuples_scanned,
-                                    "tuples_scanned differ: {} w={} {:?} {:?}", sql, workers, mode, planner
-                                );
-                            }
-                            (Err(w), Err(g)) => {
-                                prop_assert_eq!(
-                                    w.kind(), g.kind(),
-                                    "error kind differs: {} w={} {:?} {:?}", sql, workers, mode, planner
-                                );
-                                prop_assert_eq!(
-                                    w.to_string(), g.to_string(),
-                                    "error message differs: {} w={} {:?} {:?}", sql, workers, mode, planner
-                                );
-                            }
-                            (w, g) => {
-                                return Err(TestCaseError::fail(format!(
-                                    "outcomes disagree for {sql} (workers={workers} {mode:?} \
-                                     {planner:?}): baseline={:?} got={:?}",
-                                    w.map(|o| o.rows.len()),
-                                    g.map(|o| o.rows.len()),
-                                )));
-                            }
+            let db = mk(SchedConfig {
+                workers: Some(workers),
+                // Small morsels so skewed partitions split into many.
+                morsel_rows: 48,
+            });
+            for sql in &queries {
+                for planner in [Planner::Orca, Planner::Legacy] {
+                    let want = baseline.run_sql(sql, &[], planner);
+                    let got = db.run_sql(sql, &[], planner);
+                    match (want, got) {
+                        (Ok(w), Ok(g)) => {
+                            prop_assert_eq!(
+                                sorted(w.rows), sorted(g.rows),
+                                "rows differ: {} w={} {:?}", sql, workers, planner
+                            );
+                            prop_assert_eq!(
+                                &w.stats.parts_scanned, &g.stats.parts_scanned,
+                                "parts_scanned differ: {} w={} {:?}", sql, workers, planner
+                            );
+                            prop_assert_eq!(
+                                w.stats.tuples_scanned, g.stats.tuples_scanned,
+                                "tuples_scanned differ: {} w={} {:?}", sql, workers, planner
+                            );
+                        }
+                        (Err(w), Err(g)) => {
+                            prop_assert_eq!(
+                                w.kind(), g.kind(),
+                                "error kind differs: {} w={} {:?}", sql, workers, planner
+                            );
+                            prop_assert_eq!(
+                                w.to_string(), g.to_string(),
+                                "error message differs: {} w={} {:?}", sql, workers, planner
+                            );
+                        }
+                        (w, g) => {
+                            return Err(TestCaseError::fail(format!(
+                                "outcomes disagree for {sql} (workers={workers} \
+                                 {planner:?}): baseline={:?} got={:?}",
+                                w.map(|o| o.rows.len()),
+                                g.map(|o| o.rows.len()),
+                            )));
                         }
                     }
                 }
@@ -482,8 +476,8 @@ proptest! {
     }
 
     /// Compiled expression evaluation is invisible to results: every
-    /// planner × execution mode combination (Orca/legacy × Sequential/
-    /// Parallel) still equals the brute-force reference, which bypasses
+    /// planner × worker count combination (Orca/legacy × one worker / one
+    /// per segment) still equals the brute-force reference, which bypasses
     /// `mpp_expr` evaluation entirely.
     #[test]
     fn compilation_unchanged_across_planners_and_modes(
@@ -492,7 +486,7 @@ proptest! {
         parts in 1usize..24,
         segs in 1usize..5,
     ) {
-        let (seq, par) = mode_pair(segs, parts, seed);
+        let (seq, par) = worker_pair(segs, parts, seed);
         let sql = format!("SELECT * FROM r WHERE {}", pred.to_sql());
         let expected = sorted(brute_force(&seq, "r", &pred));
         for db in [&seq, &par] {
