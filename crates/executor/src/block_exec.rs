@@ -32,7 +32,6 @@ use crate::context::ExecContext;
 use crate::exec::{compiled, exec, hash_join, nl_join, AggExec, TupleSelector};
 use crate::stats::SegmentStats;
 use mpp_common::{ColumnVec, Datum, Error, MotionId, Result, Row, RowBlock, SegmentId};
-use mpp_expr::analysis::DerivedSet;
 use mpp_expr::{CompiledExpr, Expr};
 use mpp_plan::{JoinType, MotionKind, PhysicalPlan};
 use mpp_storage::{PhysId, Storage};
@@ -271,28 +270,13 @@ pub(crate) fn exec_block(
                     return Ok(chunks);
                 }
             }
-            let per_source = match ctx.motion_cached_blocks(id) {
-                Some(v) => v,
-                None => {
-                    if ctx.motions_frozen() {
-                        return Err(Error::Internal(format!(
-                            "staged execution reached {id} before its stage materialized it"
-                        )));
-                    }
-                    let mut v = Vec::with_capacity(storage.num_segments());
-                    for s in storage.segments() {
-                        v.push(exec_block(child, s, storage, ctx)?);
-                    }
-                    let counts: Vec<u64> = v
-                        .iter()
-                        .map(|chunks| chunks.iter().map(|b| b.len() as u64).sum())
-                        .collect();
-                    ctx.record_motion_counts(id, &counts);
-                    let v = Arc::new(v);
-                    ctx.motion_store_blocks(id, v.clone());
-                    v
-                }
-            };
+            // The block engine only runs under the stage driver, which
+            // materializes every Motion before any slice reads it.
+            let per_source = ctx.motion_cached_blocks(id).ok_or_else(|| {
+                Error::Internal(format!(
+                    "staged execution reached {id} before its stage materialized it"
+                ))
+            })?;
             route_motion_blocks(kind, &per_source, seg, storage, child, ctx, id)
         }
 
@@ -741,11 +725,6 @@ fn route_motion_blocks(
         }
     }
 }
-
-// Keep the unused-import lint honest when DerivedSet is only referenced
-// by the static-selector delegation above.
-#[allow(unused)]
-fn _derived_set_marker(_d: DerivedSet) {}
 
 #[cfg(test)]
 mod tests {

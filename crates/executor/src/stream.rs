@@ -4,10 +4,10 @@
 //! and friends) are thin wrappers over **one** streaming driver: result
 //! chunks flow through a caller-supplied sink as each segment finishes,
 //! instead of being materialized into a single `Vec<Row>` first. The
-//! network server feeds the sink into a bounded channel (backpressure: a
-//! slow client stalls the executor at the next chunk boundary instead of
-//! ballooning server memory); the in-process path collects the chunks
-//! into the familiar row vector.
+//! network server's sink writes each chunk to the client socket
+//! (backpressure: a slow client stalls the executor inside the sink
+//! instead of ballooning server memory); the in-process path collects
+//! the chunks into the familiar row vector.
 //!
 //! Cancellation is cooperative. A [`CancelToken`] is checked at block
 //! boundaries — per stage, per segment, per partition scanned, per chunk

@@ -6,8 +6,8 @@
 //! [`client::Client`] the tests, benches, and the `mpp_cli` example
 //! drive it with.
 //!
-//! Results **stream**: the executor's chunks flow through a bounded
-//! channel straight onto the socket as `DataBlock` frames, so a large
+//! Results **stream**: the executor's sink writes its chunks straight
+//! onto the socket as `DataBlock` frames, so a large
 //! result never materializes server-side and a slow reader
 //! back-pressures the executor instead of growing memory. Admission
 //! control sheds excess load with `Error{code: "overloaded"}`,

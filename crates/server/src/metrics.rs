@@ -34,10 +34,10 @@ pub struct ServerMetrics {
     pub blocks_streamed: AtomicU64,
     /// Frame payload bytes written to client sockets (all frame types).
     pub bytes_streamed: AtomicU64,
-    /// Result chunks the executor pushed into per-query channels. With
-    /// a slow reader this runs ahead of `blocks_streamed` by at most
-    /// the channel capacity + 1 — the observable form of the streaming
-    /// memory bound.
+    /// `DataBlock` frames encoded for writing. While a query streams this
+    /// runs ahead of `blocks_streamed` by at most 1 (the frame being
+    /// written) — the observable form of the streaming memory bound. A
+    /// frame whose write failed stays counted here only.
     pub chunks_emitted: AtomicU64,
     /// Plan-cache hits/misses observed by wire queries.
     pub cache_hits: AtomicU64,

@@ -5,13 +5,11 @@
 //! Each accepted socket gets two threads: a *reader* that parses every
 //! incoming frame — so a `Cancel` is seen even while a query is
 //! streaming — and a *worker* that owns the write half and executes
-//! commands in order. A query runs on a third, per-query scoped thread:
-//! the executor pushes result chunks through a **bounded**
-//! `sync_channel` of pre-encoded `DataBlock` frames, and the worker
-//! drains that channel onto the socket. A slow client therefore stalls
-//! the executor (channel full → `send` blocks) instead of growing
-//! server memory: at most `stream_channel_blocks + 1` chunks exist
-//! between the executor and the socket.
+//! commands in order. A query runs on the worker itself: its sink cuts
+//! each executor chunk into `DataBlock` frames and writes every frame to
+//! the socket as soon as it is encoded. A slow client therefore stalls
+//! the executor (the write blocks) instead of growing server memory: at
+//! most one encoded frame exists between the executor and the socket.
 //!
 //! ## Robustness
 //!
@@ -22,8 +20,8 @@
 //! * **Cancellation** — a `Cancel` frame, a dropped connection, a
 //!   per-query timeout, or a row/byte limit all trip the query's
 //!   [`CancelToken`]; the executor notices at its next block boundary
-//!   and unwinds with partial statistics, which travel back in the
-//!   `Error` frame.
+//!   (the sink, before its next frame) and unwinds with partial
+//!   statistics, which travel back in the `Error` frame.
 //! * **Graceful shutdown** — [`Server::stop`] stops accepting, lets
 //!   in-flight queries drain up to `shutdown_drain`, then cancels
 //!   stragglers and closes every socket before joining all threads.
@@ -38,8 +36,8 @@ use mppart::{CancelToken, ResultChunk, StreamOutcome};
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, sync_channel};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -54,9 +52,6 @@ pub struct ServerConfig {
     pub max_inflight_queries: usize,
     /// How long a query waits for an execution slot before being shed.
     pub admission_wait: Duration,
-    /// Bounded per-query channel capacity, in result chunks — the
-    /// server-side memory bound for one streaming result.
-    pub stream_channel_blocks: usize,
     /// Cap on result rows per query (`Error{code: "limit_rows"}`).
     pub max_rows_per_query: Option<u64>,
     /// Cap on encoded result bytes per query (`"limit_bytes"`).
@@ -75,7 +70,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             max_inflight_queries: 16,
             admission_wait: Duration::from_secs(2),
-            stream_channel_blocks: 8,
             max_rows_per_query: None,
             max_bytes_per_query: None,
             query_timeout: None,
@@ -612,10 +606,6 @@ fn run_query(
 const DATA_BLOCK_MAX_ROWS: usize = 8192;
 const DATA_BLOCK_TARGET_BYTES: usize = 1 << 20;
 
-const LIMIT_NONE: u8 = 0;
-const LIMIT_ROWS: u8 = 1;
-const LIMIT_BYTES: u8 = 2;
-
 fn stream_query(
     shared: &Arc<Shared>,
     conn: &Arc<ConnShared>,
@@ -675,110 +665,85 @@ fn stream_query(
     };
     *conn.active.lock().expect("conn lock poisoned") = Some(cancel.clone());
 
-    let limit_hit = AtomicU8::new(LIMIT_NONE);
-    let (tx, rx) = sync_channel::<(Vec<u8>, u64)>(shared.cfg.stream_channel_blocks.max(1));
-
-    let (outcome, io_failure) = thread::scope(|scope| {
-        let exec_cancel = cancel.clone();
-        let exec_limit = &limit_hit;
-        let exec = scope.spawn(move || {
-            let mut rows_out = 0u64;
-            let mut bytes_out = 0u64;
-            let mut sink = |chunk: ResultChunk| -> mpp_common::Result<()> {
-                let mut rows = Vec::new();
-                chunk.append_to(&mut rows);
-                // Executor chunks can be arbitrarily large (a join's
-                // whole per-segment output may arrive as one block);
-                // re-chunk into frames bounded by rows *and* bytes so
-                // no DataBlock ever approaches MAX_FRAME.
-                let mut remaining = rows;
-                while !remaining.is_empty() {
-                    let mut take = 0usize;
-                    let mut est = 0usize;
-                    while take < remaining.len()
-                        && take < DATA_BLOCK_MAX_ROWS
-                        && est < DATA_BLOCK_TARGET_BYTES
-                    {
-                        est += crate::protocol::row_wire_size(&remaining[take]);
-                        take += 1;
-                    }
-                    let rest = remaining.split_off(take);
-                    let batch = std::mem::replace(&mut remaining, rest);
-                    rows_out += batch.len() as u64;
-                    if let Some(cap) = shared.cfg.max_rows_per_query {
-                        if rows_out > cap {
-                            exec_limit.store(LIMIT_ROWS, Ordering::Relaxed);
-                            exec_cancel.cancel();
-                            return Err(Error::Cancelled(format!(
-                                "result exceeded the per-query row limit ({cap})"
-                            )));
-                        }
-                    }
-                    let nrows = batch.len() as u64;
-                    let frame = ServerMsg::DataBlock { rows: batch }.encode();
-                    bytes_out += frame.len() as u64;
-                    if let Some(cap) = shared.cfg.max_bytes_per_query {
-                        if bytes_out > cap {
-                            exec_limit.store(LIMIT_BYTES, Ordering::Relaxed);
-                            exec_cancel.cancel();
-                            return Err(Error::Cancelled(format!(
-                                "result exceeded the per-query byte limit ({cap})"
-                            )));
-                        }
-                    }
-                    ServerMetrics::inc(&shared.metrics.chunks_emitted);
-                    // Bounded: blocks when the worker (and thus the
-                    // client) is behind. A send error means the drain
-                    // loop is gone, which only happens if this scope is
-                    // unwinding.
-                    if tx.send((frame, nrows)).is_err() {
-                        return Err(Error::Cancelled("client connection lost".into()));
-                    }
-                }
-                Ok(())
-            };
-            match run {
-                Run::Ddl(stmt) => session.stream_ddl(&stmt, params, &exec_cancel, &mut sink),
-                Run::Plan(q, hit) => {
-                    let mut out =
-                        shared
-                            .ctx
-                            .db()
-                            .stream_prepared(&q, params, &exec_cancel, &mut sink);
-                    out.cache = Some(shared.ctx.cache().info(hit));
-                    out
-                }
-                Run::Prepared(ps) => ps.execute_stream(params, &exec_cancel, &mut sink),
+    // Set by the sink: the server-side error code of a tripped row/byte
+    // limit, and a failed socket write.
+    let mut limit_hit: Option<&'static str> = None;
+    let mut io_failure: Option<io::Error> = None;
+    let mut rows_out = 0u64;
+    let mut bytes_out = 0u64;
+    let mut sink = |chunk: ResultChunk| -> mpp_common::Result<()> {
+        let mut remaining = Vec::new();
+        chunk.append_to(&mut remaining);
+        // Executor chunks can be arbitrarily large (a join's whole
+        // per-segment output may arrive as one block); re-chunk into
+        // frames bounded by rows *and* bytes so no DataBlock ever
+        // approaches MAX_FRAME.
+        while !remaining.is_empty() {
+            // One chunk can be many frames: honour a Cancel, timeout or
+            // shutdown between them, not only at the next chunk.
+            cancel.check()?;
+            let mut take = 0usize;
+            let mut est = 0usize;
+            while take < remaining.len()
+                && take < DATA_BLOCK_MAX_ROWS
+                && est < DATA_BLOCK_TARGET_BYTES
+            {
+                est += crate::protocol::row_wire_size(&remaining[take]);
+                take += 1;
             }
-        });
-
-        // Drain pre-encoded frames onto the socket. On a write failure,
-        // cancel the query but keep draining (and discarding) so the
-        // executor never blocks on a channel nobody reads.
-        let mut io_failure: Option<io::Error> = None;
-        for (frame, nrows) in rx.iter() {
-            if io_failure.is_some() {
-                continue;
-            }
-            match write_frame(stream, &frame) {
-                Ok(()) => {
-                    ServerMetrics::inc(&m.blocks_streamed);
-                    ServerMetrics::add(&m.rows_streamed, nrows);
-                    ServerMetrics::add(&m.bytes_streamed, frame.len() as u64);
-                }
-                Err(e) => {
+            let rest = remaining.split_off(take);
+            let batch = std::mem::replace(&mut remaining, rest);
+            rows_out += batch.len() as u64;
+            if let Some(cap) = shared.cfg.max_rows_per_query {
+                if rows_out > cap {
+                    limit_hit = Some("limit_rows");
                     cancel.cancel();
-                    io_failure = Some(e);
+                    return Err(Error::Cancelled(format!(
+                        "result exceeded the per-query row limit ({cap})"
+                    )));
                 }
             }
+            let nrows = batch.len() as u64;
+            let frame = ServerMsg::DataBlock { rows: batch }.encode();
+            bytes_out += frame.len() as u64;
+            if let Some(cap) = shared.cfg.max_bytes_per_query {
+                if bytes_out > cap {
+                    limit_hit = Some("limit_bytes");
+                    cancel.cancel();
+                    return Err(Error::Cancelled(format!(
+                        "result exceeded the per-query byte limit ({cap})"
+                    )));
+                }
+            }
+            ServerMetrics::inc(&m.chunks_emitted);
+            // Blocks while the client is behind: back-pressure stalls the
+            // executor with this one frame in hand.
+            if let Err(e) = write_frame(stream, &frame) {
+                cancel.cancel();
+                io_failure = Some(e);
+                return Err(Error::Cancelled("client connection lost".into()));
+            }
+            ServerMetrics::inc(&m.blocks_streamed);
+            ServerMetrics::add(&m.rows_streamed, nrows);
+            ServerMetrics::add(&m.bytes_streamed, frame.len() as u64);
         }
-        // A panic on the query thread must not take the connection (and
-        // its hung client) down with it: degrade to an Error frame.
-        let outcome: StreamOutcome = exec.join().unwrap_or_else(|_| {
-            StreamOutcome::failed(Error::Internal("query execution panicked".into()))
-        });
-        (outcome, io_failure)
-    });
+        Ok(())
+    };
+    // A panic in the executor must not take the connection (and its hung
+    // client) down with it: degrade to an Error frame.
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match run {
+        Run::Ddl(stmt) => session.stream_ddl(&stmt, params, &cancel, &mut sink),
+        Run::Plan(q, hit) => {
+            let mut out = shared
+                .ctx
+                .db()
+                .stream_prepared(&q, params, &cancel, &mut sink);
+            out.cache = Some(shared.ctx.cache().info(hit));
+            out
+        }
+        Run::Prepared(ps) => ps.execute_stream(params, &cancel, &mut sink),
+    }))
+    .unwrap_or_else(|_| StreamOutcome::failed(Error::Internal("query execution panicked".into())));
 
     *conn.active.lock().expect("conn lock poisoned") = None;
 
@@ -809,11 +774,10 @@ fn stream_query(
             )
         }
         Err(e) => {
-            let code = match limit_hit.load(Ordering::Relaxed) {
-                LIMIT_ROWS => "limit_rows".to_string(),
-                LIMIT_BYTES => "limit_bytes".to_string(),
-                _ if cancel.timed_out() => "timeout".to_string(),
-                _ => e.kind().to_string(),
+            let code = match limit_hit {
+                Some(code) => code.to_string(),
+                None if cancel.timed_out() => "timeout".to_string(),
+                None => e.kind().to_string(),
             };
             ServerMetrics::inc(if code == "cancelled" {
                 &m.queries_cancelled

@@ -43,9 +43,9 @@ fn start(cfg: ServerConfig) -> (Server, Arc<SessionCtx>) {
 
 /// A client that sends [`HUGE_SQL`] and reads nothing. Its query stays
 /// admitted for as long as the client refuses to read, however fast the
-/// executor is: the reply cannot fit in the socket buffers plus the
-/// bounded stream channel, so `stream_query` blocks in its channel send
-/// with the admission permit held. The latch opens when [`drain`] reads.
+/// executor is: the reply cannot fit in the socket buffers, so
+/// `stream_query` blocks in its socket write with the admission permit
+/// held. The latch opens when [`drain`] reads.
 fn stalled_reader(addr: SocketAddr) -> Client {
     let mut client = Client::connect(addr).unwrap();
     client
@@ -76,7 +76,7 @@ fn drain(client: &mut Client) -> u64 {
 
 /// Poll server metrics until `done` holds. The bound only turns a hang
 /// into a failure; nothing here races a timer.
-fn wait_for(server: &Server, what: &str, done: impl Fn(&MetricsSnapshot) -> bool) {
+fn wait_for(server: &Server, what: &str, mut done: impl FnMut(&MetricsSnapshot) -> bool) {
     let deadline = Instant::now() + Duration::from_secs(120);
     while !done(&server.metrics()) {
         assert!(Instant::now() < deadline, "never happened: {what}");
@@ -183,66 +183,50 @@ fn connection_limit_sheds_at_handshake() {
 
 #[test]
 fn slow_reader_backpressures_instead_of_buffering() {
-    let channel_cap = 2;
-    let (server, _ctx) = start(ServerConfig {
-        stream_channel_blocks: channel_cap,
-        ..ServerConfig::default()
-    });
+    let (server, _ctx) = start(ServerConfig::default());
     let addr = server.local_addr();
 
     let mut client = stalled_reader(addr);
 
-    // Read nothing. The worker thread fills the kernel socket buffers
-    // and blocks; the executor fills the bounded channel and blocks.
-    // Wait until the channel is demonstrably full — from then on the
-    // executor is being back-pressured by our refusal to read.
+    // Read nothing. The worker fills the kernel socket buffers and
+    // blocks in its write with one encoded frame in hand. Wait until it
+    // holds that frame and two polls apart show no progress — from then
+    // on the executor is being back-pressured by our refusal to read.
+    let mut last_emitted = 0;
     wait_for(&server, "stream stalled", |m| {
-        m.chunks_emitted >= m.blocks_streamed + channel_cap as u64
+        let stalled = m.chunks_emitted == m.blocks_streamed + 1 && m.chunks_emitted == last_emitted;
+        last_emitted = m.chunks_emitted;
+        stalled
     });
     let stalled = server.metrics();
     assert_eq!(stalled.inflight_queries, 1, "query must still be running");
     // Hold the stall for a while: the server-side buffer must stay
-    // bounded — frames held beyond what already reached the socket are
-    // capped by the channel (+1 in the sender's hand, +1 in the
-    // worker's hand), no matter how long we refuse to read.
+    // bounded — beyond what already reached the socket, at most the one
+    // frame being written exists, no matter how long we refuse to read.
     for _ in 0..10 {
         std::thread::sleep(Duration::from_millis(100));
         let m = server.metrics();
+        assert_eq!(m.inflight_queries, 1, "query must still be admitted");
         assert!(
-            m.chunks_emitted - m.blocks_streamed <= channel_cap as u64 + 2,
-            "server buffered {} frames beyond the socket (cap {})",
-            m.chunks_emitted - m.blocks_streamed,
-            channel_cap
+            m.chunks_emitted - m.blocks_streamed <= 1,
+            "server buffered {} frames beyond the socket",
+            m.chunks_emitted - m.blocks_streamed
         );
     }
 
     // Drain: every row arrives, nothing was dropped while stalled.
-    let mut rows = 0u64;
-    let mut blocks = 0u64;
-    loop {
-        match client.recv().unwrap() {
-            ServerMsg::RowDescription { .. } => {}
-            ServerMsg::DataBlock { rows: r } => {
-                rows += r.len() as u64;
-                blocks += 1;
-            }
-            ServerMsg::CommandComplete { stats, .. } => {
-                assert_eq!(stats.rows_returned, rows);
-                break;
-            }
-            other => panic!("unexpected frame {other:?}"),
-        }
-    }
-    assert!(
-        blocks > channel_cap as u64,
-        "result should span many blocks"
-    );
+    assert!(drain(&mut client) > 0);
+    wait_for(&server, "query released", |m| m.inflight_queries == 0);
     let end = server.metrics();
+    assert!(end.blocks_streamed > 1, "result should span many blocks");
     assert!(
         end.chunks_emitted > stalled.chunks_emitted,
         "the stall was final?"
     );
-    assert_eq!(end.inflight_queries, 0);
+    assert_eq!(
+        end.chunks_emitted, end.blocks_streamed,
+        "every encoded frame reached the socket"
+    );
 
     client.goodbye().unwrap();
     server.stop();
@@ -375,25 +359,27 @@ fn graceful_shutdown_drains_inflight_queries() {
         shutdown_drain: Duration::from_secs(30),
         ..ServerConfig::default()
     });
+    let server = Arc::new(server);
     let addr = server.local_addr();
 
     let mut reader = stalled_reader(addr);
     let mut late = Client::connect(addr).unwrap();
     wait_for(&server, "query admitted", |m| m.inflight_queries == 1);
 
-    std::thread::scope(|scope| {
-        let stopper = scope.spawn(|| server.stop());
-        server.wait_stop_requested();
-        // Shutdown has begun while the query is held: new queries are
-        // refused...
-        match late.query("SELECT count(*) FROM s", &[]) {
-            Err(ClientError::Server { code, .. }) => assert_eq!(code, "shutting_down"),
-            other => panic!("expected shutting_down, got {other:?}"),
-        }
-        // ...and the in-flight one still completes once its client reads.
-        assert!(drain(&mut reader) > 0);
-        stopper.join().unwrap();
-    });
+    let stopper = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.stop())
+    };
+    server.wait_stop_requested();
+    // Shutdown has begun while the query is held: new queries are
+    // refused...
+    match late.query("SELECT count(*) FROM s", &[]) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, "shutting_down"),
+        other => panic!("expected shutting_down, got {other:?}"),
+    }
+    // ...and the in-flight one still completes once its client reads.
+    assert!(drain(&mut reader) > 0);
+    stopper.join().unwrap();
     assert_eq!(server.metrics().queries_ok, 1);
 
     // And the listener is gone: nothing new gets in.

@@ -384,7 +384,6 @@ fn query_candidates(q: &QuerySpec) -> Vec<QuerySpec> {
     if q.pred.is_some() {
         let mut c = q.clone();
         c.pred = None;
-        c.params = Vec::new();
         c.static_prunable = false;
         out.push(c);
     }
@@ -394,7 +393,6 @@ fn query_candidates(q: &QuerySpec) -> Vec<QuerySpec> {
         if let Some(p) = &mut c.pred {
             inline_params(p, &q.params);
         }
-        c.params = Vec::new();
         out.push(c);
     }
     if let Some(p) = &q.pred {
@@ -416,7 +414,31 @@ fn query_candidates(q: &QuerySpec) -> Vec<QuerySpec> {
             out.push(c);
         }
     }
+    // The binder's arity is the highest `$n` referenced: a candidate that
+    // dropped the last use of a parameter must drop its value too, or it
+    // fails on arity instead of reproducing the original failure.
+    for c in &mut out {
+        c.params.truncate(c.pred.as_ref().map_or(0, max_param));
+    }
     out
+}
+
+/// The highest `$n` a predicate references (0 when none).
+fn max_param(p: &PredSpec) -> usize {
+    let of = |o: &Operand| match o {
+        Operand::Param(n) => *n as usize,
+        Operand::Lit(_) => 0,
+    };
+    match p {
+        PredSpec::Cmp { rhs, .. } => of(rhs),
+        PredSpec::Between { lo, hi, .. } => of(lo).max(of(hi)),
+        PredSpec::And(ps) | PredSpec::Or(ps) => ps.iter().map(max_param).max().unwrap_or(0),
+        PredSpec::Not(inner) => max_param(inner),
+        PredSpec::InList { .. }
+        | PredSpec::IsNull { .. }
+        | PredSpec::ColCmp { .. }
+        | PredSpec::DivCmp { .. } => 0,
+    }
 }
 
 fn inline_params(p: &mut PredSpec, params: &[crate::case::Val]) {
@@ -593,6 +615,36 @@ mod tests {
                 op: "<".into(),
                 rhs: Operand::Lit(Val::Int(42)),
             }
+        );
+    }
+
+    #[test]
+    fn candidates_drop_params_their_predicate_no_longer_uses() {
+        let cmp = |col: &str, rhs| PredSpec::Cmp {
+            col: ColId::new(0, col),
+            op: "<".into(),
+            rhs,
+        };
+        let q = QuerySpec {
+            tables: vec![0],
+            join: None,
+            extra_joins: vec![],
+            pred: Some(PredSpec::And(vec![
+                cmp("k1", Operand::Param(1)),
+                cmp("k2", Operand::Param(2)),
+            ])),
+            agg: None,
+            params: vec![Val::Int(1), Val::Int(2)],
+            static_prunable: false,
+        };
+        let cands = query_candidates(&q);
+        let with_pred = |p: PredSpec| cands.iter().find(|c| c.pred.as_ref() == Some(&p)).unwrap();
+        // Keeping only `$2` keeps `$1`'s value too: arity is the highest `$n`.
+        assert_eq!(with_pred(cmp("k2", Operand::Param(2))).params.len(), 2);
+        // Dropping the last use of `$2` drops its value.
+        assert_eq!(
+            with_pred(cmp("k1", Operand::Param(1))).params,
+            vec![Val::Int(1)]
         );
     }
 }
