@@ -23,12 +23,29 @@
 
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// Row-count multiplier from `MPPART_SCALE` (default 1.0).
+/// Row-count multiplier from `MPPART_SCALE` (default 1.0). Exits with a
+/// message naming the variable when its value is not a finite number
+/// above 0: a typo must not run a figure at full scale.
 pub fn scale() -> f64 {
-    std::env::var("MPPART_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+    let raw = std::env::var("MPPART_SCALE").ok();
+    parse_scale(raw.as_deref()).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// `MPPART_SCALE`'s value: unset means 1.0, anything else must parse to
+/// a finite number above 0.
+fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else {
+        return Ok(1.0);
+    };
+    match raw.trim().parse::<f64>() {
+        Ok(f) if f.is_finite() && f > 0.0 => Ok(f),
+        _ => Err(format!(
+            "MPPART_SCALE={raw:?} is not a finite row-count multiplier above 0"
+        )),
+    }
 }
 
 /// Scale a base row count.
@@ -170,5 +187,17 @@ mod tests {
     fn scaled_never_zero() {
         assert!(scaled(0) >= 1);
         assert!(scaled(100) >= 1);
+    }
+
+    #[test]
+    fn malformed_scale_is_rejected_by_name() {
+        assert_eq!(parse_scale(None), Ok(1.0));
+        assert_eq!(parse_scale(Some("0.05")), Ok(0.05));
+        assert_eq!(parse_scale(Some(" 2 ")), Ok(2.0));
+        for bad in ["", "0,05", "fast", "NaN", "inf", "-inf", "0", "-1"] {
+            let msg = parse_scale(Some(bad)).unwrap_err();
+            assert!(msg.starts_with("MPPART_SCALE="), "{msg}");
+            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+        }
     }
 }

@@ -21,16 +21,17 @@
 //! variant `i64` equality is `Datum` equality, and the moment a block
 //! brings a different variant (or a NULL) the stored keys degrade to
 //! datums in place, first-seen order kept, and `Datum` equality decides.
+//! The typed index and the integer readers live in `typed_key.rs`,
+//! shared with the block hash join.
 
 use crate::exec::{empty_scalar_row, AggExec};
 use crate::stats::SegmentStats;
-use mpp_common::{bitmap_get, ColumnData, ColumnVec, Datum, Result, Row, RowBlock, SegmentId};
+use crate::typed_key::{BlockCol, IntSlice, IntVar, TypedIndex};
+use mpp_common::{bitmap_get, ColumnData, Datum, Result, Row, RowBlock, SegmentId};
 use mpp_expr::CompiledExpr;
 use mpp_plan::{AggCall, AggFunc};
-use std::borrow::Cow;
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 /// One `HashAgg` node, compiled once per stage.
@@ -51,50 +52,6 @@ impl<'p> AggSpec<'p> {
             args: prep.args.clone(),
             calls,
             width,
-        }
-    }
-}
-
-/// Which integer column variant backs a typed key or min/max value.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum IntVar {
-    I32,
-    I64,
-    Date,
-}
-
-impl IntVar {
-    fn datum(self, v: i64) -> Datum {
-        match self {
-            IntVar::I32 => Datum::Int32(v as i32),
-            IntVar::I64 => Datum::Int64(v),
-            IntVar::Date => Datum::Date(v as i32),
-        }
-    }
-}
-
-/// The values of an integer column, widened on read.
-#[derive(Clone, Copy)]
-enum IntSlice<'a> {
-    I32(&'a [i32]),
-    I64(&'a [i64]),
-}
-
-impl IntSlice<'_> {
-    fn of(col: &ColumnVec) -> Option<(IntVar, IntSlice<'_>)> {
-        match col.data() {
-            ColumnData::Int32(v) => Some((IntVar::I32, IntSlice::I32(v))),
-            ColumnData::Int64(v) => Some((IntVar::I64, IntSlice::I64(v))),
-            ColumnData::Date(v) => Some((IntVar::Date, IntSlice::I32(v))),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn at(self, p: usize) -> i64 {
-        match self {
-            IntSlice::I32(v) => v[p] as i64,
-            IntSlice::I64(v) => v[p],
         }
     }
 }
@@ -306,76 +263,6 @@ impl PartialAcc {
     }
 }
 
-/// Hash index from a typed key tuple to its group: open addressing over
-/// `(hash tag, group number)` entries, the tuples themselves living in
-/// the caller's flat key array (no allocation per group). Keyed SipHash,
-/// like `HashMap`: group keys are user data.
-#[derive(Default)]
-struct TypedIndex {
-    hasher: RandomState,
-    /// Power-of-two table, kept at most half full: the hash's high half
-    /// over the group number, or `VACANT`.
-    table: Vec<u64>,
-    len: usize,
-}
-
-const VACANT: u64 = u64::MAX;
-
-impl TypedIndex {
-    fn hash(&self, key: &[i64]) -> u64 {
-        let mut h = self.hasher.build_hasher();
-        for &k in key {
-            h.write_i64(k);
-        }
-        h.finish()
-    }
-
-    /// The group whose key is `key` and whether it had to be created —
-    /// as group `flat.len() / key.len()`, its key appended to `flat`.
-    fn find_or_insert(&mut self, key: &[i64], flat: &mut Vec<i64>) -> (u32, bool) {
-        let w = key.len();
-        if self.len * 2 >= self.table.len() {
-            let mut table = vec![VACANT; (self.table.len() * 2).max(16)];
-            for (g, k) in flat.chunks(w).enumerate() {
-                let h = self.hash(k);
-                let at = Self::probe(&table, h, k, flat);
-                table[at] = (h & !0xffff_ffff) | g as u64;
-            }
-            self.table = table;
-        }
-        let h = self.hash(key);
-        let at = Self::probe(&self.table, h, key, flat);
-        if self.table[at] != VACANT {
-            return (self.table[at] as u32, false);
-        }
-        let g = (flat.len() / w) as u32;
-        flat.extend_from_slice(key);
-        self.table[at] = (h & !0xffff_ffff) | g as u64;
-        self.len += 1;
-        (g, true)
-    }
-
-    /// The table position holding `key`'s group, or the vacancy where it
-    /// belongs (linear probing; `h` is `key`'s hash).
-    fn probe(table: &[u64], h: u64, key: &[i64], flat: &[i64]) -> usize {
-        let (w, mask) = (key.len(), table.len() - 1);
-        let mut at = h as usize & mask;
-        loop {
-            let e = table[at];
-            if e == VACANT {
-                return at;
-            }
-            if e >> 32 == h >> 32 {
-                let stored = &flat[e as u32 as usize * w..][..w];
-                if stored.iter().zip(key).all(|(a, b)| a == b) {
-                    return at;
-                }
-            }
-            at = (at + 1) & mask;
-        }
-    }
-}
-
 /// Group-key storage; group `g`'s key is the `g`-th stored, in
 /// first-seen order. A kernel only ever moves down this list.
 enum Keys {
@@ -392,14 +279,6 @@ enum Keys {
         index: HashMap<Vec<Datum>, u32>,
         keys: Vec<Vec<Datum>>,
     },
-}
-
-/// One aggregate argument over a block: the column, and the selection
-/// mapping logical row `k` to its slot (`None` = slot `k`). A bare column
-/// reference borrows the block's column instead of gathering a copy.
-struct ArgCol<'a> {
-    col: Cow<'a, ColumnVec>,
-    sel: Option<&'a [u32]>,
 }
 
 /// Partial aggregation state over any number of blocks (and, after
@@ -464,7 +343,7 @@ fn feed<T: Copy>(
     j: usize,
     slots: Option<&[u32]>,
     v: &[T],
-    arg: &ArgCol<'_>,
+    arg: &BlockCol<'_>,
     obs: impl Fn(&mut PartialAcc, T),
 ) {
     let valid = arg.col.validity();
@@ -509,19 +388,12 @@ impl PartialAgg {
         if spec.positions.is_empty() && self.n_groups == 0 && !b.is_empty() {
             self.new_group();
         }
-        let mut args: Vec<Option<ArgCol<'_>>> = Vec::with_capacity(spec.args.len());
+        let mut args: Vec<Option<BlockCol<'_>>> = Vec::with_capacity(spec.args.len());
         for a in &spec.args {
             args.push(match a.as_deref() {
                 None => None,
-                Some(CompiledExpr::Col { pos, .. }) if *pos < b.width() => Some(ArgCol {
-                    col: Cow::Borrowed(b.column(*pos)),
-                    sel: b.sel(),
-                }),
-                Some(e) => match e.eval_column_strict(b) {
-                    Ok(c) => Some(ArgCol {
-                        col: Cow::Owned(c),
-                        sel: None,
-                    }),
+                Some(e) => match BlockCol::eval(e, b) {
+                    Ok(c) => Some(c),
                     Err(_) => {
                         // Some argument needs row semantics: the whole
                         // block goes row-major so the first error
@@ -545,7 +417,7 @@ impl PartialAgg {
         (self.n_groups - 1) as u32
     }
 
-    fn absorb_strict(&mut self, b: &RowBlock, spec: &AggSpec<'_>, args: &[Option<ArgCol<'_>>]) {
+    fn absorb_strict(&mut self, b: &RowBlock, spec: &AggSpec<'_>, args: &[Option<BlockCol<'_>>]) {
         let n = b.len();
         if n == 0 {
             return;
@@ -597,9 +469,8 @@ impl PartialAgg {
                 _ => {
                     self.fold_pending(j);
                     for k in 0..n {
-                        let p = arg.sel.map_or(k, |s| s[k] as usize);
                         let g = slots.map_or(0, |s| s[k] as usize);
-                        self.accs[g * nc + j].observe(Some(arg.col.get(p)));
+                        self.accs[g * nc + j].observe(Some(arg.get(k)));
                     }
                 }
             }
@@ -829,6 +700,7 @@ impl PartialAgg {
 mod tests {
     use super::*;
     use mpp_common::value::ArithOp;
+    use mpp_common::ColumnVec;
     use mpp_expr::{compile, ColRef, EvalContext, Expr};
 
     fn block(cols: Vec<Vec<Datum>>) -> RowBlock {

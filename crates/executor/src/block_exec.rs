@@ -10,6 +10,11 @@
 //!   surviving rows,
 //! * projections and join-key extraction evaluate column-at-a-time via
 //!   [`mpp_expr::CompiledExpr::eval_column_strict`],
+//! * the hash join concatenates only its build side and probes chunk by
+//!   chunk: `i64` keys through the shared `TypedIndex` (`typed_key.rs`)
+//!   when every key column is an integer column, datum keys otherwise,
+//!   candidates in build order, a residual evaluated columnar over each
+//!   chunk's candidate pairs, one output block,
 //! * aggregation folds the child's chunks, in order, through one instance
 //!   of the typed kernel (`agg_kernel.rs`) — no `Vec<Datum>` per row,
 //! * Motions cache and ship chunk lists; Broadcast destinations share
@@ -23,6 +28,8 @@
 //! block, a multi-expression site whose first error depends on row-major
 //! order), the affected block falls back to row-wise evaluation, and the
 //! fallback is counted in [`crate::stats::SegmentStats::rows_row_fallback`].
+//! A hash join evaluates every key of both sides before it probes, and
+//! one strict key failure re-runs the whole join on the row engine.
 //! Nested-loops joins run row-wise (their predicate short-circuits per
 //! pair); DML plans never reach this module (the driver routes them to
 //! the row engine).
@@ -31,6 +38,7 @@ use crate::agg_kernel::{AggSpec, Finalized, PartialAgg};
 use crate::context::ExecContext;
 use crate::exec::{compiled, exec, hash_join, nl_join, AggExec, TupleSelector};
 use crate::stats::SegmentStats;
+use crate::typed_key::{BlockCol, IntCol, TypedIndex};
 use mpp_common::{ColumnVec, Datum, Error, MotionId, Result, Row, RowBlock, SegmentId};
 use mpp_expr::{CompiledExpr, Expr};
 use mpp_plan::{JoinType, MotionKind, PhysicalPlan};
@@ -474,9 +482,19 @@ pub(crate) fn project_block_core(
     Ok(RowBlock::from_rows(&rows, exprs.len()))
 }
 
-/// Hash join over blocks: batch key extraction on both sides, join-pair
-/// assembly by column gather. Semi/anti joins reduce to a selection over
-/// the build side — zero row copies.
+/// Hash join over blocks, building on the left and probing with the
+/// right.
+///
+/// Only the build side is concatenated; the probe side is read chunk by
+/// chunk. Every key column of both sides is evaluated strictly before any
+/// probing — the build side, then each probe chunk in order — and any
+/// strict failure re-runs the whole join on the row engine's
+/// [`hash_join`], so errors surface in its order. Keys are `i64` tuples
+/// in a [`TypedIndex`] when every key column of both sides is
+/// `Int32`/`Int64`/`Date`, datums otherwise; either way NULL never
+/// matches. Each chunk's matched pairs, in the row engine's order (probe
+/// row, then build order), are gathered into one growing output block;
+/// semi and anti joins reduce to a selection over the build side.
 #[allow(clippy::too_many_arguments)]
 fn block_hash_join(
     join_type: JoinType,
@@ -492,8 +510,8 @@ fn block_hash_join(
 ) -> Result<Vec<RowBlock>> {
     let l_cols = left.output_cols();
     let r_cols = right.output_cols();
-    let l_block = RowBlock::concat(&l_chunks, l_cols.len());
-    let r_block = RowBlock::concat(&r_chunks, r_cols.len());
+    // Dense, so a build row's logical index is its physical one.
+    let build = RowBlock::concat(&l_chunks, l_cols.len());
     let lk: Vec<Arc<CompiledExpr>> = left_keys
         .iter()
         .map(|k| compiled(k, &l_cols, ctx))
@@ -503,34 +521,18 @@ fn block_hash_join(
         .map(|k| compiled(k, &r_cols, ctx))
         .collect();
 
-    let mut key_cols_l: Vec<ColumnVec> = Vec::with_capacity(lk.len());
-    let mut key_cols_r: Vec<ColumnVec> = Vec::with_capacity(rk.len());
-    let mut strict = true;
-    for e in &lk {
-        match e.eval_column_strict(&l_block) {
-            Ok(c) => key_cols_l.push(c),
-            Err(_) => {
-                strict = false;
-                break;
-            }
-        }
-    }
-    if strict {
-        for e in &rk {
-            match e.eval_column_strict(&r_block) {
-                Ok(c) => key_cols_r.push(c),
-                Err(_) => {
-                    strict = false;
-                    break;
-                }
-            }
-        }
-    }
-    if !strict {
-        // A key expression errors somewhere: re-run the whole join on the
-        // row engine so build-before-probe error order is preserved.
-        let l_rows = l_block.to_rows();
-        let r_rows = r_block.to_rows();
+    let keys = key_cols(&lk, &build).and_then(|bk| {
+        let pk = r_chunks
+            .iter()
+            .map(|b| key_cols(&rk, b))
+            .collect::<Result<Vec<_>>>()?;
+        Ok((bk, pk))
+    });
+    let Ok((build_keys, probe_keys)) = keys else {
+        // A key expression needs row semantics somewhere: the row engine
+        // reproduces build-before-probe, row-major error order.
+        let l_rows = build.to_rows();
+        let r_rows = blocks_to_rows(&r_chunks);
         ctx.seg_stats(seg).rows_row_fallback += (l_rows.len() + r_rows.len()) as u64;
         let width = if join_type.outputs_right() {
             l_cols.len() + r_cols.len()
@@ -541,91 +543,105 @@ fn block_hash_join(
             join_type, left_keys, right_keys, residual, left, right, l_rows, r_rows, ctx,
         )?;
         return Ok(rows_to_chunks(rows, width));
-    }
+    };
 
-    let residual_c = residual.as_ref().map(|res| {
+    let residual = residual.as_ref().map(|res| {
         let mut joined_cols = l_cols.clone();
         joined_cols.extend(r_cols.clone());
         compiled(res, &joined_cols, ctx)
     });
-
-    let l_len = l_block.len();
-    let r_len = r_block.len();
-    // Build on the left: keys read from the extracted key columns (rows
-    // with a NULL key component never match).
-    let mut table: HashMap<Vec<Datum>, Vec<u32>> = HashMap::new();
-    for i in 0..l_len {
-        let mut key = Vec::with_capacity(key_cols_l.len());
-        let mut has_null = false;
-        for c in &key_cols_l {
-            let v = c.get(i);
-            has_null |= v.is_null();
-            key.push(v);
-        }
-        if !has_null {
-            table.entry(key).or_default().push(i as u32);
-        }
-    }
-
-    let mut matched = vec![false; l_len];
-    // Matched pairs, physical indices, in the row engine's output order:
-    // probe rows in order, candidates in build order.
-    let mut l_out: Vec<u32> = Vec::new();
-    let mut r_out: Vec<u32> = Vec::new();
-    for j in 0..r_len {
-        let mut key = Vec::with_capacity(key_cols_r.len());
-        let mut has_null = false;
-        for c in &key_cols_r {
-            let v = c.get(j);
-            has_null |= v.is_null();
-            key.push(v);
-        }
-        if has_null {
-            continue;
-        }
-        let Some(candidates) = table.get(&key) else {
-            continue;
-        };
-        for &i in candidates {
-            let lp = l_block.phys_index(i as usize);
-            let rp = r_block.phys_index(j);
-            if let Some(res) = &residual_c {
-                let joined = l_block.row_at_phys(lp).concat(&r_block.row_at_phys(rp));
-                if !res.eval_predicate(&joined)? {
-                    continue;
+    let mut out = JoinOut {
+        outputs_right: join_type.outputs_right(),
+        build: &build,
+        residual,
+        matched: vec![false; build.len()],
+        cols: (0..l_cols.len() + r_cols.len())
+            .map(|_| ColumnVec::empty())
+            .collect(),
+        rows: 0,
+        residual_fallback: 0,
+    };
+    let typed = int_cols(&build_keys).and_then(|b| {
+        let p = probe_keys
+            .iter()
+            .map(|c| int_cols(c))
+            .collect::<Option<Vec<_>>>()?;
+        Some((b, p))
+    });
+    // One probe loop; the fork is only how a row's key is looked up.
+    match typed {
+        Some((build_ints, probe_ints)) => {
+            let mut index = TypedIndex::default();
+            let mut flat = Vec::new();
+            let mut key = vec![0i64; lk.len()];
+            let chains = Chains::build(build.len(), |i| {
+                int_key(&build_ints, i, &mut key).then(|| index.find_or_insert(&key, &mut flat))
+            });
+            probe_chunks(&mut out, &chains, &r_chunks, |c, k| {
+                if int_key(&probe_ints[c], k, &mut key) {
+                    index.find(&key, &flat)
+                } else {
+                    None
                 }
-            }
-            matched[i as usize] = true;
-            if join_type.outputs_right() {
-                l_out.push(lp as u32);
-                r_out.push(rp as u32);
-            }
+            })?;
+        }
+        None => {
+            let mut map: HashMap<Vec<Datum>, u32> = HashMap::new();
+            let mut key = Vec::with_capacity(lk.len());
+            let chains = Chains::build(build.len(), |i| {
+                if !datum_key(&build_keys, i, &mut key) {
+                    return None;
+                }
+                Some(match map.get(key.as_slice()) {
+                    Some(&g) => (g, false),
+                    None => {
+                        let g = map.len() as u32;
+                        map.insert(key.clone(), g);
+                        (g, true)
+                    }
+                })
+            });
+            probe_chunks(&mut out, &chains, &r_chunks, |c, k| {
+                if datum_key(&probe_keys[c], k, &mut key) {
+                    map.get(key.as_slice()).copied()
+                } else {
+                    None
+                }
+            })?;
         }
     }
-    ctx.seg_stats(seg).rows_vectorized += (l_len + r_len) as u64;
-
-    let mut out: Vec<RowBlock> = Vec::new();
+    let JoinOut {
+        matched,
+        cols,
+        rows,
+        residual_fallback,
+        ..
+    } = out;
+    let probe_rows: usize = r_chunks.iter().map(RowBlock::len).sum();
+    let mut stats = ctx.seg_stats(seg);
+    stats.rows_vectorized += (build.len() + probe_rows) as u64;
+    stats.rows_row_fallback += residual_fallback;
+    drop(stats);
+    let build_sel = |want: bool| -> Vec<u32> {
+        (0..build.len() as u32)
+            .filter(|&i| matched[i as usize] == want)
+            .collect()
+    };
+    let mut blocks: Vec<RowBlock> = Vec::new();
     match join_type {
         JoinType::Inner | JoinType::LeftOuter => {
-            if !l_out.is_empty() {
-                let mut cols: Vec<Arc<ColumnVec>> = Vec::with_capacity(l_cols.len() + r_cols.len());
-                for c in l_block.columns() {
-                    cols.push(Arc::new(c.gather(&l_out)));
-                }
-                for c in r_block.columns() {
-                    cols.push(Arc::new(c.gather(&r_out)));
-                }
-                out.push(RowBlock::from_columns(cols, l_out.len()));
+            if rows > 0 {
+                blocks.push(RowBlock::from_columns(
+                    cols.into_iter().map(Arc::new).collect(),
+                    rows,
+                ));
             }
             if matches!(join_type, JoinType::LeftOuter) {
-                let unmatched: Vec<u32> = (0..l_len)
-                    .filter(|&i| !matched[i])
-                    .map(|i| l_block.phys_index(i) as u32)
-                    .collect();
+                let unmatched = build_sel(false);
                 if !unmatched.is_empty() {
                     let mut cols: Vec<Arc<ColumnVec>> =
                         Vec::with_capacity(l_cols.len() + r_cols.len());
-                    for c in l_block.columns() {
+                    for c in build.columns() {
                         cols.push(Arc::new(c.gather(&unmatched)));
                     }
                     for _ in 0..r_cols.len() {
@@ -634,32 +650,185 @@ fn block_hash_join(
                             unmatched.len(),
                         )));
                     }
-                    out.push(RowBlock::from_columns(cols, unmatched.len()));
+                    blocks.push(RowBlock::from_columns(cols, unmatched.len()));
                 }
             }
         }
-        JoinType::LeftSemi => {
-            let sel: Vec<u32> = (0..l_len)
-                .filter(|&i| matched[i])
-                .map(|i| l_block.phys_index(i) as u32)
-                .collect();
+        JoinType::LeftSemi | JoinType::LeftAnti => {
+            let sel = build_sel(matches!(join_type, JoinType::LeftSemi));
             if !sel.is_empty() {
-                out.push(l_block.with_sel(sel));
-            }
-        }
-        JoinType::LeftAnti => {
-            let sel: Vec<u32> = (0..l_len)
-                .filter(|&i| !matched[i])
-                .map(|i| l_block.phys_index(i) as u32)
-                .collect();
-            if !sel.is_empty() {
-                out.push(l_block.with_sel(sel));
+                blocks.push(build.with_sel(sel));
             }
         }
     }
-    let mut stats = ctx.seg_stats(seg);
-    stats.blocks_produced += out.len() as u64;
-    Ok(out)
+    ctx.seg_stats(seg).blocks_produced += blocks.len() as u64;
+    Ok(blocks)
+}
+
+/// Evaluate `keys` strictly over `b`; an `Err` means some key needs row
+/// semantics.
+fn key_cols<'a>(keys: &[Arc<CompiledExpr>], b: &'a RowBlock) -> Result<Vec<BlockCol<'a>>> {
+    keys.iter().map(|e| BlockCol::eval(e, b)).collect()
+}
+
+/// The widened readers of `cols`, if every one is an integer column.
+fn int_cols<'a>(cols: &'a [BlockCol<'_>]) -> Option<Vec<IntCol<'a>>> {
+    cols.iter().map(IntCol::of).collect()
+}
+
+/// Read logical row `k`'s key into `key`; `false` when a component is
+/// NULL.
+#[inline]
+fn int_key(cols: &[IntCol<'_>], k: usize, key: &mut [i64]) -> bool {
+    for (x, c) in key.iter_mut().zip(cols) {
+        match c.at(k) {
+            Some(v) => *x = v,
+            None => return false,
+        }
+    }
+    true
+}
+
+/// Read logical row `k`'s key into `key`; `false` when a component is
+/// NULL.
+fn datum_key(cols: &[BlockCol<'_>], k: usize, key: &mut Vec<Datum>) -> bool {
+    key.clear();
+    for c in cols {
+        let v = c.get(k);
+        if v.is_null() {
+            return false;
+        }
+        key.push(v);
+    }
+    true
+}
+
+/// Ends a [`Chains`] chain.
+const NONE: u32 = u32::MAX;
+
+/// The build side by distinct key: `head[g]` is the first build row with
+/// key number `g`, and `next[i]` the build row after `i` with the same key.
+struct Chains {
+    head: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl Chains {
+    /// `key_of(i)` numbers build row `i`'s key densely in first-insert
+    /// order (`true` = new), or is `None` for a NULL key. Rows are
+    /// inserted back to front, each at its chain's head, so every chain
+    /// walks its rows in build order.
+    fn build(n: usize, mut key_of: impl FnMut(usize) -> Option<(u32, bool)>) -> Chains {
+        let mut head = Vec::new();
+        let mut next = vec![NONE; n];
+        for i in (0..n).rev() {
+            match key_of(i) {
+                None => {}
+                Some((_, true)) => head.push(i as u32),
+                Some((g, false)) => {
+                    next[i] = head[g as usize];
+                    head[g as usize] = i as u32;
+                }
+            }
+        }
+        Chains { head, next }
+    }
+}
+
+/// Probe every chunk in order. `lookup(c, k)` is the key number of chunk
+/// `c`'s logical row `k`, if the build side has that key.
+fn probe_chunks(
+    out: &mut JoinOut<'_>,
+    chains: &Chains,
+    r_chunks: &[RowBlock],
+    mut lookup: impl FnMut(usize, usize) -> Option<u32>,
+) -> Result<()> {
+    let (mut l_idx, mut r_idx) = (Vec::new(), Vec::new());
+    for (c, chunk) in r_chunks.iter().enumerate() {
+        l_idx.clear();
+        r_idx.clear();
+        for k in 0..chunk.len() {
+            let Some(g) = lookup(c, k) else {
+                continue;
+            };
+            let rp = chunk.phys_index(k) as u32;
+            let mut i = chains.head[g as usize];
+            while i != NONE {
+                l_idx.push(i);
+                r_idx.push(rp);
+                i = chains.next[i as usize];
+            }
+        }
+        out.absorb(chunk, &l_idx, &r_idx)?;
+    }
+    Ok(())
+}
+
+/// What a hash join has produced so far.
+struct JoinOut<'a> {
+    /// The join outputs matched pairs (not just build rows).
+    outputs_right: bool,
+    build: &'a RowBlock,
+    residual: Option<Arc<CompiledExpr>>,
+    /// Per build row: some pair that passed the residual includes it.
+    matched: Vec<bool>,
+    /// The output block being grown (joins that output the probe side).
+    cols: Vec<ColumnVec>,
+    rows: usize,
+    /// Candidate pairs whose residual ran on the row fallback.
+    residual_fallback: u64,
+}
+
+impl JoinOut<'_> {
+    /// Keep a probe chunk's candidate pairs (`l_idx[p]` with `r_idx[p]`)
+    /// that pass the residual. The residual runs columnar over the
+    /// gathered pairs; its exact per-block row fallback keeps the first
+    /// error in pair order, which is the row engine's, and is counted
+    /// like a filter's.
+    fn absorb(&mut self, chunk: &RowBlock, l_idx: &[u32], r_idx: &[u32]) -> Result<()> {
+        if l_idx.is_empty() {
+            return Ok(());
+        }
+        let Some(res) = &self.residual else {
+            for &i in l_idx {
+                self.matched[i as usize] = true;
+            }
+            if self.outputs_right {
+                let (l, r) = self.cols.split_at_mut(self.build.width());
+                for (o, c) in l.iter_mut().zip(self.build.columns()) {
+                    o.extend_gather(c, Some(l_idx));
+                }
+                for (o, c) in r.iter_mut().zip(chunk.columns()) {
+                    o.extend_gather(c, Some(r_idx));
+                }
+                self.rows += l_idx.len();
+            }
+            return Ok(());
+        };
+        let pairs: Vec<Arc<ColumnVec>> = self
+            .build
+            .columns()
+            .iter()
+            .map(|c| c.gather(l_idx))
+            .chain(chunk.columns().iter().map(|c| c.gather(r_idx)))
+            .map(Arc::new)
+            .collect();
+        let pairs = RowBlock::from_columns(pairs, l_idx.len());
+        let (keep, fell_back) = res.eval_predicate_block(&pairs)?;
+        if fell_back {
+            self.residual_fallback += pairs.len() as u64;
+        }
+        for &p in &keep {
+            self.matched[l_idx[p as usize] as usize] = true;
+        }
+        if self.outputs_right && !keep.is_empty() {
+            for (o, c) in self.cols.iter_mut().zip(pairs.columns()) {
+                o.extend_gather(c, Some(&keep));
+            }
+            self.rows += keep.len();
+        }
+        Ok(())
+    }
 }
 
 /// Motion routing over block payloads.

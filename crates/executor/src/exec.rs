@@ -863,7 +863,6 @@ pub(crate) fn hash_join(
 
     // Build on the left.
     let mut table: HashMap<Vec<Datum>, Vec<usize>> = HashMap::new();
-    let mut l_keysv: Vec<Option<Vec<Datum>>> = Vec::with_capacity(l_rows.len());
     for (i, r) in l_rows.iter().enumerate() {
         let mut key = Vec::with_capacity(l_keys.len());
         let mut has_null = false;
@@ -872,11 +871,9 @@ pub(crate) fn hash_join(
             has_null |= v.is_null();
             key.push(v);
         }
-        if has_null {
-            l_keysv.push(None); // null keys never match
-        } else {
-            table.entry(key.clone()).or_default().push(i);
-            l_keysv.push(Some(key));
+        // Null keys never match.
+        if !has_null {
+            table.entry(key).or_default().push(i);
         }
     }
 

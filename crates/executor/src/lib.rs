@@ -43,6 +43,7 @@ pub mod prepared;
 pub mod slice;
 pub mod stats;
 pub mod stream;
+mod typed_key;
 
 #[cfg(test)]
 mod motion_tests;

@@ -581,30 +581,63 @@ pub struct JoinSpec {
     pub left: ColId,
     pub op: String,
     pub right: ColId,
+    /// A second `ON` conjunct between the same two tables: with `=` the
+    /// hash join gets a two-column key, with any other comparison a
+    /// residual. Only `QuerySpec::join` sets it.
+    pub second: Option<JoinConjunct>,
+}
+
+/// `left OP right` between the columns of a join's two tables.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinConjunct {
+    pub left: ColId,
+    pub op: String,
+    pub right: ColId,
 }
 
 impl JoinSpec {
-    fn to_sexp(&self) -> Sexp {
-        Sexp::tagged(
-            "join",
-            vec![
-                Sexp::Int(self.explicit as i64),
-                Sexp::Int(self.left_outer as i64),
-                self.left.to_sexp(),
-                Sexp::sym(self.op.clone()),
-                self.right.to_sexp(),
-            ],
-        )
+    /// The join condition; `col` renders a column reference.
+    fn on_sql(&self, col: impl Fn(&ColId) -> String) -> String {
+        let mut on = format!("{} {} {}", col(&self.left), self.op, col(&self.right));
+        if let Some(c) = &self.second {
+            let _ = write!(on, " AND {} {} {}", col(&c.left), c.op, col(&c.right));
+        }
+        on
     }
 
+    fn to_sexp(&self) -> Sexp {
+        let mut items = vec![
+            Sexp::Int(self.explicit as i64),
+            Sexp::Int(self.left_outer as i64),
+            self.left.to_sexp(),
+            Sexp::sym(self.op.clone()),
+            self.right.to_sexp(),
+        ];
+        if let Some(c) = &self.second {
+            items.extend([c.left.to_sexp(), Sexp::sym(c.op.clone()), c.right.to_sexp()]);
+        }
+        Sexp::tagged("join", items)
+    }
+
+    /// Corpus files written before the second conjunct existed have five
+    /// items and decode to `second: None`.
     fn from_sexp(s: &Sexp) -> Result<JoinSpec> {
         let ji = s.items("join")?;
+        let second = match ji.get(5..8) {
+            None => None,
+            Some(c) => Some(JoinConjunct {
+                left: ColId::from_sexp(&c[0])?,
+                op: c[1].as_sym()?.to_string(),
+                right: ColId::from_sexp(&c[2])?,
+            }),
+        };
         Ok(JoinSpec {
             explicit: ji[0].as_int()? != 0,
             left_outer: ji[1].as_int()? != 0,
             left: ColId::from_sexp(&ji[2])?,
             op: ji[3].as_sym()?.to_string(),
             right: ColId::from_sexp(&ji[4])?,
+            second,
         })
     }
 }
@@ -688,7 +721,7 @@ impl QuerySpec {
         let mut from = specs[0].name.clone();
         let mut where_parts: Vec<String> = Vec::new();
         if let Some(j) = &self.join {
-            let on = format!("{} {} {}", col(&j.left), j.op, col(&j.right));
+            let on = j.on_sql(col);
             if j.explicit {
                 let kw = if j.left_outer { "LEFT JOIN" } else { "JOIN" };
                 let _ = write!(from, " {kw} {} ON {on}", specs[1].name);
@@ -699,7 +732,7 @@ impl QuerySpec {
         }
         for (k, j) in self.extra_joins.iter().enumerate() {
             let _ = write!(from, ", {}", specs[k + 2].name);
-            where_parts.push(format!("{} {} {}", col(&j.left), j.op, col(&j.right)));
+            where_parts.push(j.on_sql(col));
         }
         let table_refs: Vec<&TableSpec> = all_tables.iter().collect();
         if let Some(p) = &self.pred {
@@ -1114,6 +1147,49 @@ mod tests {
             assert!(text.contains("(adaptive"));
             assert_eq!(Case::decode(&text).unwrap(), case);
         }
+    }
+
+    #[test]
+    fn second_join_conjunct_renders_and_round_trips() {
+        let mut case = sample_case();
+        let mut t1 = case.tables[0].clone();
+        t1.name = "t1".into();
+        case.tables.push(t1);
+        let query = QuerySpec {
+            tables: vec![0, 1],
+            join: Some(JoinSpec {
+                explicit: true,
+                left_outer: false,
+                left: ColId::new(0, "id"),
+                op: "=".into(),
+                right: ColId::new(1, "id"),
+                second: Some(JoinConjunct {
+                    left: ColId::new(0, "v"),
+                    op: "<".into(),
+                    right: ColId::new(1, "v"),
+                }),
+            }),
+            extra_joins: vec![],
+            pred: None,
+            agg: None,
+            params: vec![],
+            static_prunable: false,
+        };
+        assert_eq!(
+            query.sql(&case.tables),
+            "SELECT t0.id, t0.v, t1.v FROM t0 JOIN t1 ON t0.id = t1.id AND t0.v < t1.v"
+        );
+        case.actions = vec![Action::Query(Box::new(query))];
+        assert_eq!(Case::decode(&case.encode()).unwrap(), case);
+        // Without it the encoding is the five-item form older corpus
+        // files use, which decodes to `None`.
+        let Action::Query(q) = &mut case.actions[0] else {
+            unreachable!()
+        };
+        q.join.as_mut().unwrap().second = None;
+        let text = case.encode();
+        assert!(text.contains("(join 1 0 (0 id) = (1 id))"), "{text}");
+        assert_eq!(Case::decode(&text).unwrap(), case);
     }
 
     #[test]

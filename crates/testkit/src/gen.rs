@@ -14,8 +14,8 @@
 //! while staying independent of the engine's catalog.
 
 use crate::case::{
-    Action, AggCallSpec, AggSpec, AlterKind, Case, ColId, ColTy, JoinSpec, LevelSpec, Operand,
-    PredSpec, QuerySpec, TableSpec, Val,
+    Action, AggCallSpec, AggSpec, AlterKind, Case, ColId, ColTy, JoinConjunct, JoinSpec, LevelSpec,
+    Operand, PredSpec, QuerySpec, TableSpec, Val,
 };
 use crate::oracle::{Oracle, RefPiece};
 use rand::rngs::StdRng;
@@ -439,6 +439,7 @@ fn gen_extra_join(g: &mut StdRng, tables: &[TableSpec], chosen: &[usize]) -> Joi
         left: ColId::new(a, lc),
         op: "=".into(),
         right: ColId::new(b, rc),
+        second: None,
     }
 }
 
@@ -466,12 +467,28 @@ fn gen_join(g: &mut StdRng, tables: &[TableSpec], chosen: &[usize]) -> JoinSpec 
     };
     let explicit = g.gen_range(0u32..100) < 70;
     let left_outer = explicit && op == "=" && g.gen_range(0u32..100) < 30;
+    // A second conjunct: `=` makes a two-column hash key, any other
+    // comparison a residual on the hash join.
+    let second = (g.gen_range(0u32..100) < 40).then(|| {
+        let (l2, r2) = pick(g, &pairs).clone();
+        let op = if g.gen_range(0u32..100) < 50 {
+            "="
+        } else {
+            pick(g, &["<", "<=", ">", ">=", "<>"])
+        };
+        JoinConjunct {
+            left: ColId::new(a, l2),
+            op: op.to_string(),
+            right: ColId::new(b, r2),
+        }
+    });
     JoinSpec {
         explicit,
         left_outer,
         left: ColId::new(a, lc),
         op,
         right: ColId::new(b, rc),
+        second,
     }
 }
 
@@ -812,6 +829,31 @@ mod tests {
         }
         assert!(analyzes > 50, "ANALYZE actions generated: {analyzes}");
         assert!(multiway > 20, "3-way join queries generated: {multiway}");
+    }
+
+    /// The hash join's two-column keys and residuals come from a second
+    /// `ON` conjunct: both kinds must be generated, on inner and outer
+    /// joins alike.
+    #[test]
+    fn generator_covers_two_column_keys_and_residuals() {
+        let (mut two_keys, mut residuals, mut outer) = (0usize, 0usize, 0usize);
+        for seed in 0..500u64 {
+            for a in &gen_case(seed).actions {
+                let Action::Query(q) = a else { continue };
+                let Some(j) = &q.join else { continue };
+                let Some(c) = &j.second else { continue };
+                assert_eq!((c.left.table, c.right.table), (q.tables[0], q.tables[1]));
+                if c.op == "=" {
+                    two_keys += 1;
+                } else {
+                    residuals += 1;
+                }
+                outer += usize::from(j.left_outer);
+            }
+        }
+        assert!(two_keys > 20, "two-column keys generated: {two_keys}");
+        assert!(residuals > 20, "residuals generated: {residuals}");
+        assert!(outer > 5, "outer joins with a second conjunct: {outer}");
     }
 
     #[test]

@@ -149,6 +149,10 @@ fn table_used(case: &Case, t: usize) -> bool {
             for j in q.join.iter().chain(&q.extra_joins) {
                 cols.push(j.left.clone());
                 cols.push(j.right.clone());
+                if let Some(c) = &j.second {
+                    cols.push(c.left.clone());
+                    cols.push(c.right.clone());
+                }
             }
             if let Some(AggSpec { group_by, calls }) = &q.agg {
                 if let Some(g) = group_by {
@@ -184,6 +188,10 @@ fn remap_tables(case: &mut Case, removed: usize) {
                 for j in q.join.iter_mut().chain(&mut q.extra_joins) {
                     fix(&mut j.left.table);
                     fix(&mut j.right.table);
+                    if let Some(c) = &mut j.second {
+                        fix(&mut c.left.table);
+                        fix(&mut c.right.table);
+                    }
                 }
                 if let Some(p) = &mut q.pred {
                     remap_pred(p, removed);
@@ -369,6 +377,12 @@ fn query_candidates(q: &QuerySpec) -> Vec<QuerySpec> {
         c.tables.truncate(1);
         out.push(c);
     }
+    if q.join.as_ref().is_some_and(|j| j.second.is_some()) {
+        // Back to a one-column key and no residual.
+        let mut c = q.clone();
+        c.join.as_mut().unwrap().second = None;
+        out.push(c);
+    }
     if !q.extra_joins.is_empty() {
         // Unchain the last extra table.
         let mut c = q.clone();
@@ -524,7 +538,7 @@ fn pred_candidates(p: &PredSpec) -> Vec<PredSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::case::{ColId, LevelSpec, Val};
+    use crate::case::{ColId, JoinConjunct, JoinSpec, LevelSpec, Val};
 
     /// A synthetic check: "fails" whenever the case still contains a query
     /// whose predicate references k1 with a `<` comparison. The shrinker
@@ -616,6 +630,38 @@ mod tests {
                 rhs: Operand::Lit(Val::Int(42)),
             }
         );
+    }
+
+    #[test]
+    fn candidates_drop_the_second_join_conjunct() {
+        let join = JoinSpec {
+            explicit: true,
+            left_outer: false,
+            left: ColId::new(0, "id"),
+            op: "=".into(),
+            right: ColId::new(1, "id"),
+            second: Some(JoinConjunct {
+                left: ColId::new(0, "v"),
+                op: "=".into(),
+                right: ColId::new(1, "v"),
+            }),
+        };
+        let q = QuerySpec {
+            tables: vec![0, 1],
+            join: Some(join.clone()),
+            extra_joins: vec![],
+            pred: None,
+            agg: None,
+            params: vec![],
+            static_prunable: false,
+        };
+        let one_key = JoinSpec {
+            second: None,
+            ..join
+        };
+        assert!(query_candidates(&q)
+            .iter()
+            .any(|c| c.join.as_ref() == Some(&one_key) && c.tables == q.tables));
     }
 
     #[test]

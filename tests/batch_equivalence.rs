@@ -5,8 +5,9 @@
 //! same multiset of rows, the same partitions scanned and tuples read,
 //! and, for queries whose expressions fail at runtime, the same error.
 
-use mppart::common::Datum;
+use mppart::common::{Datum, Row};
 use mppart::core::OptimizerConfig;
+use mppart::executor::QueryResult;
 use mppart::testing::sorted;
 use mppart::workloads::{setup_nullable, setup_rs, setup_skewed, SynthConfig};
 use mppart::{ExecEngine, MppDb, Planner, SchedConfig};
@@ -386,6 +387,58 @@ fn dml_on_batch_session_falls_back_to_row_engine() {
 }
 
 // ---------------------------------------------------------------------
+// Bit-identical comparison helpers for the kernel arms below
+// ---------------------------------------------------------------------
+
+/// Rows rendered so that datum variants and float bits both count.
+fn render(rows: &[Row]) -> Vec<String> {
+    rows.iter()
+        .map(|r| {
+            let vals: Vec<String> = r
+                .values()
+                .iter()
+                .map(|d| match d {
+                    Datum::Float64(f) => format!("Float64({:#018x})", f.to_bits()),
+                    d => format!("{d:?}"),
+                })
+                .collect();
+            vals.join(", ")
+        })
+        .collect()
+}
+
+fn assert_identical(
+    batch: mppart::common::Result<QueryResult>,
+    row: mppart::common::Result<QueryResult>,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    match (batch, row) {
+        (Ok(b), Ok(r)) => {
+            prop_assert_eq!(render(&b.rows), render(&r.rows), "rows of {}", what);
+            prop_assert_eq!(&b.stats.parts_scanned, &r.stats.parts_scanned, "{}", what);
+            prop_assert_eq!(b.stats.tuples_scanned, r.stats.tuples_scanned, "{}", what);
+            prop_assert_eq!(b.stats.rows_moved, r.stats.rows_moved, "{}", what);
+        }
+        (Err(b), Err(r)) => prop_assert_eq!(b.to_string(), r.to_string(), "{}", what),
+        (b, r) => {
+            return Err(TestCaseError::fail(format!(
+                "engines disagree on success for {what}: batch={:?} row={:?}",
+                b.map(|o| render(&o.rows)),
+                r.map(|o| render(&o.rows))
+            )))
+        }
+    }
+    Ok(())
+}
+
+fn into_result(o: mppart::QueryOutcome) -> QueryResult {
+    QueryResult {
+        rows: o.rows,
+        stats: o.stats,
+    }
+}
+
+// ---------------------------------------------------------------------
 // The typed aggregation kernel behind `exec_block`'s HashAgg arm
 // ---------------------------------------------------------------------
 
@@ -404,8 +457,7 @@ fn dml_on_batch_session_falls_back_to_row_engine() {
 mod agg_arm {
     use super::*;
     use mppart::common::value::ArithOp;
-    use mppart::common::Row;
-    use mppart::executor::{execute_with_params_sched, QueryResult};
+    use mppart::executor::execute_with_params_sched;
     use mppart::expr::{ColRef, Expr};
     use mppart::plan::{AggCall, AggFunc, PhysicalPlan};
 
@@ -580,47 +632,6 @@ mod agg_arm {
             .collect()
     }
 
-    /// Rows rendered so that datum variants and float bits both count.
-    fn render(rows: &[Row]) -> Vec<String> {
-        rows.iter()
-            .map(|r| {
-                let vals: Vec<String> = r
-                    .values()
-                    .iter()
-                    .map(|d| match d {
-                        Datum::Float64(f) => format!("Float64({:#018x})", f.to_bits()),
-                        d => format!("{d:?}"),
-                    })
-                    .collect();
-                vals.join(", ")
-            })
-            .collect()
-    }
-
-    fn assert_identical(
-        batch: mppart::common::Result<QueryResult>,
-        row: mppart::common::Result<QueryResult>,
-        what: &str,
-    ) -> Result<(), TestCaseError> {
-        match (batch, row) {
-            (Ok(b), Ok(r)) => {
-                prop_assert_eq!(render(&b.rows), render(&r.rows), "rows of {}", what);
-                prop_assert_eq!(&b.stats.parts_scanned, &r.stats.parts_scanned, "{}", what);
-                prop_assert_eq!(b.stats.tuples_scanned, r.stats.tuples_scanned, "{}", what);
-                prop_assert_eq!(b.stats.rows_moved, r.stats.rows_moved, "{}", what);
-            }
-            (Err(b), Err(r)) => prop_assert_eq!(b.to_string(), r.to_string(), "{}", what),
-            (b, r) => {
-                return Err(TestCaseError::fail(format!(
-                    "engines disagree on success for {what}: batch={:?} row={:?}",
-                    b.map(|o| render(&o.rows)),
-                    r.map(|o| render(&o.rows))
-                )))
-            }
-        }
-        Ok(())
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -704,11 +715,350 @@ mod agg_arm {
             }
         }
     }
+}
 
-    fn into_result(o: mppart::QueryOutcome) -> QueryResult {
-        QueryResult {
-            rows: o.rows,
-            stats: o.stats,
+// ---------------------------------------------------------------------
+// The block hash join behind `exec_block`'s HashJoin arm
+// ---------------------------------------------------------------------
+
+/// Bit-identical comparison of the block engine's hash join against the
+/// row engine's over *multi-chunk* inputs on both sides: rows in order,
+/// datum variants, error messages and the scan / motion counters.
+///
+/// Mutation-checked: each of these, applied alone, fails
+/// `join_arm_is_bit_identical_to_row_engine` — walk a key's build rows in
+/// reverse build order; read a NULL key slot on the typed path as its
+/// dummy `0` (on both sides, or on the build side only); evaluate a probe
+/// chunk's keys only when it is reached, surfacing that chunk's key error
+/// row-wise (a residual error on an earlier row of the same chunk must
+/// win); surface the residual's strict column-major failure instead of
+/// replaying the pairs row-major; admit `Float64` key columns to the
+/// typed path (widened with `as i64`).
+mod join_arm {
+    use super::*;
+    use mppart::common::value::ArithOp;
+    use mppart::executor::execute_with_params_sched;
+    use mppart::expr::{CmpOp, ColRef, Expr};
+    use mppart::plan::{JoinType, PhysicalPlan};
+
+    /// How one chunk's key column arrives.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        I32,
+        I64,
+        Date,
+        /// `Int64` with NULLs: a validity bitmap over dummy `0` slots.
+        Nullable,
+        /// `Float64`, half-integral on some rows.
+        F64,
+        /// `Int32` and `Int64` alternating, so the column is `Any`.
+        Any,
+    }
+
+    const KINDS: [Kind; 6] = [
+        Kind::I32,
+        Kind::I64,
+        Kind::Date,
+        Kind::Nullable,
+        Kind::F64,
+        Kind::Any,
+    ];
+    const INT_KINDS: [Kind; 3] = [Kind::I32, Kind::I64, Kind::Date];
+
+    /// One row: keys `k1`, `k2`, payload `v`, divisor `z`; `None` = NULL.
+    #[derive(Debug, Clone, Copy)]
+    struct GenRow {
+        k1: Option<i64>,
+        k2: Option<i64>,
+        v: Option<i64>,
+        z: i64,
+        /// A `Float64` key of this row is `k + 0.5`.
+        half: bool,
+    }
+
+    /// One chunk of one side: its key column variants and its rows.
+    #[derive(Debug, Clone)]
+    struct Chunk {
+        k1: Kind,
+        k2: Kind,
+        rows: Vec<GenRow>,
+    }
+
+    /// Raw draws (the vendored proptest has no weighted or dependent
+    /// strategies, so the weighting is in `decode`).
+    type RawRow = (u8, u8, u8, i64, bool);
+    type RawChunk = ((usize, usize), u8, Vec<RawRow>);
+
+    fn arb_side() -> impl Strategy<Value = Vec<RawChunk>> {
+        let row = (0u8..6, 0u8..6, 0u8..6, 0i64..3, any::<bool>());
+        let chunk = (
+            (0usize..12, 0usize..12),
+            0u8..3,
+            proptest::collection::vec(row, 0..8),
+        );
+        proptest::collection::vec(chunk, 1..4)
+    }
+
+    impl Chunk {
+        /// Chunks mostly arrive in the side's base integer variants (the
+        /// typed path survives every chunk) and now and then in another
+        /// kind: a nullable, float or `Any` chunk. Keys are drawn from
+        /// `0..4`, so build keys repeat and `0` (a NULL slot's dummy)
+        /// is common; a third of the chunks carry a zero divisor.
+        fn decode(raw: &RawChunk, base: (usize, usize)) -> Chunk {
+            let ((f1, f2), zeros, rows) = raw;
+            let pick =
+                |flip: usize, base: usize| KINDS.get(flip).copied().unwrap_or(INT_KINDS[base]);
+            let (k1, k2) = (pick(*f1, base.0), pick(*f2, base.1));
+            let key = |kind: Kind, raw: u8| {
+                let nullable = matches!(kind, Kind::Nullable | Kind::Any);
+                (!(nullable && raw >= 4)).then_some(i64::from(raw % 4))
+            };
+            let rows = rows
+                .iter()
+                .map(|&(r1, r2, v, z, half)| GenRow {
+                    k1: key(k1, r1),
+                    k2: key(k2, r2),
+                    v: (v < 5).then_some(i64::from(v)),
+                    z: if *zeros == 0 { z } else { z.max(1) },
+                    half,
+                })
+                .collect();
+            Chunk { k1, k2, rows }
+        }
+
+        fn datums(&self) -> Vec<Vec<Datum>> {
+            let key = |kind: Kind, k: Option<i64>, half: bool, i: usize| {
+                let Some(k) = k else {
+                    return Datum::Null;
+                };
+                match kind {
+                    Kind::I32 => Datum::Int32(k as i32),
+                    Kind::I64 | Kind::Nullable => Datum::Int64(k),
+                    Kind::Date => Datum::Date(k as i32),
+                    Kind::F64 => Datum::Float64(k as f64 + if half { 0.5 } else { 0.0 }),
+                    Kind::Any if i.is_multiple_of(2) => Datum::Int32(k as i32),
+                    Kind::Any => Datum::Int64(k),
+                }
+            };
+            self.rows
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    vec![
+                        key(self.k1, r.k1, r.half, i),
+                        key(self.k2, r.k2, r.half, i),
+                        r.v.map_or(Datum::Null, Datum::Int64),
+                        Datum::Int32(r.z as i32),
+                    ]
+                })
+                .collect()
+        }
+
+        /// The same rows in a stored table's column types (`k1`, `k2`
+        /// given), floats truncated, NULLs kept, partition key first.
+        fn stored(&self, p: usize, k1: Kind, k2: Kind) -> Vec<Row> {
+            let typed = Chunk {
+                k1,
+                k2,
+                rows: self
+                    .rows
+                    .iter()
+                    .map(|r| GenRow { half: false, ..*r })
+                    .collect(),
+            };
+            typed
+                .datums()
+                .into_iter()
+                .map(|mut vals| {
+                    vals.insert(0, Datum::Int32(p as i32));
+                    Row::new(vals)
+                })
+                .collect()
+        }
+    }
+
+    const JOIN_TYPES: [JoinType; 4] = [
+        JoinType::Inner,
+        JoinType::LeftOuter,
+        JoinType::LeftSemi,
+        JoinType::LeftAnti,
+    ];
+
+    /// `(k1, k2, v, z)` of one side: ids from `first`, names prefixed.
+    fn side_cols(first: u32, prefix: &str) -> Vec<ColRef> {
+        ["k1", "k2", "v", "z"]
+            .iter()
+            .enumerate()
+            .map(|(i, n)| ColRef::new(first + i as u32, format!("{prefix}{n}")))
+            .collect()
+    }
+
+    fn arith(op: ArithOp, left: Expr, right: Expr) -> Expr {
+        Expr::Arith {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
+
+    /// The join key over column `k`: the column itself, or `k + 0 *
+    /// (100 % z)`, which takes a modulo by zero wherever `z` is 0 (a
+    /// different error from the residual's division).
+    fn key_expr(cols: &[ColRef], k: usize, erroring: bool) -> Expr {
+        let c = Expr::col(cols[k].clone());
+        if !erroring {
+            return c;
+        }
+        let rem = arith(
+            ArithOp::Mod,
+            Expr::lit(Datum::Int64(100)),
+            Expr::col(cols[3].clone()),
+        );
+        arith(
+            ArithOp::Add,
+            c,
+            arith(ArithOp::Mul, Expr::lit(Datum::Int64(0)), rem),
+        )
+    }
+
+    fn key_sql(table: &str, k: usize, erroring: bool) -> String {
+        let c = format!("{table}.k{}", k + 1);
+        if erroring {
+            format!("{c} + 0 * (100 % {table}.z)")
+        } else {
+            c
+        }
+    }
+
+    /// Residual 1 keeps `l.v < r.v`. Residual 2 divides by zero where
+    /// `r.v = l.v + 1`, and — only where that first disjunct is false —
+    /// takes a modulo by zero where `r.v = 1`: row-major and column-major
+    /// evaluation disagree on which error comes first.
+    fn residual(l: &[ColRef], r: &[ColRef], pick: u8) -> Option<Expr> {
+        let (lv, rv) = (Expr::col(l[2].clone()), Expr::col(r[2].clone()));
+        let int = |v: i64| Expr::lit(Datum::Int64(v));
+        match pick {
+            0 => None,
+            1 => Some(Expr::cmp(CmpOp::Lt, lv, rv)),
+            _ => {
+                let diff = arith(ArithOp::Add, arith(ArithOp::Sub, lv, rv.clone()), int(1));
+                let div = Expr::cmp(CmpOp::Gt, arith(ArithOp::Div, int(100), diff), int(20));
+                let rem = arith(ArithOp::Mod, int(100), arith(ArithOp::Sub, rv, int(1)));
+                Some(Expr::or(vec![div, Expr::eq(rem, int(0))]))
+            }
+        }
+    }
+
+    fn residual_sql(pick: u8) -> Option<&'static str> {
+        match pick {
+            0 => None,
+            1 => Some("l.v < r.v"),
+            _ => Some("(100 / (l.v - r.v + 1) > 20 OR 100 % (r.v - 1) = 0)"),
+        }
+    }
+
+    fn values(chunks: &[Chunk], cols: &[ColRef]) -> PhysicalPlan {
+        PhysicalPlan::Append {
+            output: cols.to_vec(),
+            children: chunks
+                .iter()
+                .map(|ch| PhysicalPlan::Values {
+                    rows: ch.datums(),
+                    output: cols.to_vec(),
+                })
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn join_arm_is_bit_identical_to_row_engine(
+            raw_l in arb_side(),
+            raw_r in arb_side(),
+            base in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
+            join in 0usize..4,
+            two_keys in any::<bool>(),
+            res in 0u8..3,
+            erroring in (0u8..4, 0u8..4),
+            segs in 1usize..4,
+        ) {
+            // Leg 1: a hand-built `HashJoin(Append[Values..],
+            // Append[Values..])`. Each non-empty `Values` is one chunk on
+            // segment 0 in exactly the generated column variants; every
+            // other segment joins empty input.
+            let l_chunks: Vec<Chunk> = raw_l.iter().map(|r| Chunk::decode(r, (base.0, base.1))).collect();
+            let r_chunks: Vec<Chunk> = raw_r.iter().map(|r| Chunk::decode(r, (base.2, base.3))).collect();
+            let (lc, rc) = (side_cols(1, "l"), side_cols(11, "r"));
+            let n_keys = if two_keys { 2 } else { 1 };
+            let (l_err, r_err) = (erroring.0 == 0, erroring.1 == 0);
+            let join_type = JOIN_TYPES[join];
+            let plan = PhysicalPlan::HashJoin {
+                join_type,
+                left_keys: (0..n_keys).map(|k| key_expr(&lc, k, l_err)).collect(),
+                right_keys: (0..n_keys).map(|k| key_expr(&rc, k, r_err)).collect(),
+                residual: residual(&lc, &rc, res),
+                left: Box::new(values(&l_chunks, &lc)),
+                right: Box::new(values(&r_chunks, &rc)),
+            };
+            let db = MppDb::new(segs);
+            for workers in [1, segs] {
+                let sched = SchedConfig::with_workers(workers);
+                let run = |engine| execute_with_params_sched(db.storage(), &plan, &[], engine, &sched);
+                assert_identical(
+                    run(ExecEngine::Batch),
+                    run(ExecEngine::Row),
+                    &format!("{workers} worker(s) {join_type:?} values plan"),
+                )?;
+            }
+
+            // Leg 2: the same rows in two stored tables, one range
+            // partition per chunk, through SQL: `INT` keys on one side,
+            // `BIGINT` on the other (the typed path widens both), Motions
+            // between them, one chunk per (segment, partition). Semi and
+            // anti joins come from `[NOT] IN` over the first key.
+            let on: Vec<String> = (0..n_keys)
+                .map(|k| format!("{} = {}", key_sql("l", k, l_err), key_sql("r", k, r_err)))
+                .chain(residual_sql(res).map(String::from))
+                .collect();
+            let sql = match join_type {
+                JoinType::Inner => format!("SELECT * FROM l JOIN r ON {}", on.join(" AND ")),
+                JoinType::LeftOuter => format!("SELECT * FROM l LEFT JOIN r ON {}", on.join(" AND ")),
+                JoinType::LeftSemi | JoinType::LeftAnti => format!(
+                    "SELECT * FROM l WHERE {} {}IN (SELECT {} FROM r)",
+                    key_sql("l", 0, l_err),
+                    if join_type == JoinType::LeftAnti { "NOT " } else { "" },
+                    key_sql("r", 0, r_err),
+                ),
+            };
+            let mk = |engine| {
+                let db = MppDb::new(segs).with_exec_engine(engine);
+                for (name, k1, k2, by, chunks, kinds) in [
+                    ("l", "INT", "BIGINT", "k2", &l_chunks, (Kind::I32, Kind::I64)),
+                    ("r", "BIGINT", "INT", "v", &r_chunks, (Kind::I64, Kind::I32)),
+                ] {
+                    db.sql(&format!(
+                        "CREATE TABLE {name} (p INT, k1 {k1}, k2 {k2}, v BIGINT, z INT) \
+                         DISTRIBUTED BY ({by}) \
+                         PARTITION BY RANGE (p) (START (0) END (3) EVERY (1))"
+                    )).unwrap();
+                    let t = db.catalog().table_by_name(name).unwrap().oid;
+                    for (p, ch) in chunks.iter().enumerate() {
+                        db.storage().insert(t, ch.stored(p, kinds.0, kinds.1)).unwrap();
+                    }
+                }
+                db
+            };
+            let (batch, row) = (mk(ExecEngine::Batch), mk(ExecEngine::Row));
+            for planner in [Planner::Orca, Planner::Legacy] {
+                assert_identical(
+                    batch.run_sql(&sql, &[], planner).map(into_result),
+                    row.run_sql(&sql, &[], planner).map(into_result),
+                    &format!("{sql} ({planner:?})"),
+                )?;
+            }
         }
     }
 }
