@@ -1,17 +1,16 @@
-//! The typed aggregation kernel of both block paths.
+//! The typed aggregation kernel of the block engine.
 //!
 //! [`PartialAgg`] folds [`RowBlock`]s into typed per-group accumulators
-//! without building a `Vec<Datum>` per row. It has two callers:
+//! without building a `Vec<Datum>` per row. It has one caller,
+//! [`crate::block_exec::hash_agg_blocks`] — the `HashAgg` arm of
+//! [`crate::block_exec::exec_block`], which the fused morsel driver also
+//! calls with a segment's morsel blocks. One instance absorbs a
+//! segment's chunks in order, with no merge, so a float sum is the row
+//! engine's sequential fold, bit for bit.
 //!
-//! * the fused morsel pipeline ([`crate::morsel`]) runs one instance per
-//!   morsel and [`PartialAgg::merge`]s them in morsel order;
-//! * [`crate::block_exec::exec_block`]'s `HashAgg` arm runs **one**
-//!   instance over the child's chunks in order, with no merge — so a
-//!   float sum is the row engine's sequential fold, bit for bit.
-//!
-//! Either way [`PartialAgg::finalize`] answers [`Finalized::NeedsExact`]
-//! when the typed state cannot prove its result equals the row engine's,
-//! and the caller re-runs the input through [`crate::exec::AggExec`].
+//! [`PartialAgg::finalize`] answers [`Finalized::NeedsExact`] when the
+//! typed state cannot prove its result equals the row engine's, and the
+//! caller replays the chunks through [`crate::exec::AggExec`].
 //!
 //! Group keys take one of three shapes (see [`Keys`]): none at all for a
 //! scalar aggregate, typed `i64` tuples while every key column of every
@@ -58,11 +57,11 @@ impl<'p> AggSpec<'p> {
 
 const F64_EXACT: i128 = 1 << 53;
 
-/// One aggregate call's mergeable partial state. Mirrors the row
-/// engine's accumulator exactly, except that integer sums ride in i128
-/// with running prefix extremes instead of erroring on overflow: a
-/// prefix that ever leaves the i64 range proves the sequential engine
-/// would have errored mid-stream, and the caller takes the exact path.
+/// One aggregate call's typed state. Mirrors the row engine's accumulator
+/// exactly, except that integer sums ride in i128 with running prefix
+/// extremes instead of erroring on overflow: a prefix that ever leaves
+/// the i64 range proves the sequential engine would have errored
+/// mid-stream, and the caller takes the exact path.
 struct PartialAcc {
     count: i64,
     non_null: i64,
@@ -74,12 +73,9 @@ struct PartialAcc {
     min: Option<Datum>,
     max: Option<Datum>,
     /// Typed min/max lane state, folded into `min`/`max` by
-    /// [`PartialAcc::fold_minmax`] before anything reads or merges them.
+    /// [`PartialAcc::fold_minmax`] before anything reads them.
     min_i: i64,
     max_i: i64,
-    /// Non-null values merged from more than one morsel: float sums can
-    /// no longer prove addition-order-exactness.
-    mixed: bool,
 }
 
 impl PartialAcc {
@@ -96,7 +92,6 @@ impl PartialAcc {
             max: None,
             min_i: i64::MAX,
             max_i: i64::MIN,
-            mixed: false,
         }
     }
 
@@ -185,24 +180,6 @@ impl PartialAcc {
         }
     }
 
-    /// Merge `b` (a later morsel's state, typed lanes folded) into self.
-    fn merge(&mut self, b: PartialAcc) {
-        self.mixed |= b.mixed || (self.non_null > 0 && b.non_null > 0);
-        self.count += b.count;
-        self.non_null += b.non_null;
-        self.sum_is_float |= b.sum_is_float;
-        self.sum_f += b.sum_f;
-        self.min_p = self.min_p.min(self.sum_i + b.min_p);
-        self.max_p = self.max_p.max(self.sum_i + b.max_p);
-        self.sum_i += b.sum_i;
-        if let Some(v) = b.min {
-            self.keep_min(v);
-        }
-        if let Some(v) = b.max {
-            self.keep_max(v);
-        }
-    }
-
     /// Does finalizing this accumulator for `func` require the exact
     /// sequential path? `int_lane` says a typed integer lane fed it (such
     /// a lane does not maintain the running float sum).
@@ -215,8 +192,8 @@ impl PartialAcc {
         }
         match func {
             AggFunc::Sum | AggFunc::Avg => {
-                if self.sum_is_float && (self.mixed || int_lane) {
-                    // Cross-morsel float addition is order-sensitive, and
+                if self.sum_is_float && int_lane {
+                    // A typed integer lane skips the running float sum, so
                     // a float sum that also took typed ints is incomplete.
                     return true;
                 }
@@ -281,9 +258,8 @@ enum Keys {
     },
 }
 
-/// Partial aggregation state over any number of blocks (and, after
-/// merging, morsels). Groups are kept in first-seen order; absorbing
-/// blocks in order and merging in morsel order reproduce the sequential
+/// Aggregation state over any number of blocks. Groups are kept in
+/// first-seen order; absorbing blocks in order reproduces the sequential
 /// engine's group order exactly.
 pub(crate) struct PartialAgg {
     keys: Keys,
@@ -293,7 +269,7 @@ pub(crate) struct PartialAgg {
     accs: Vec<PartialAcc>,
     /// Per call: the variant of a typed min/max lane not yet folded into
     /// the datum form. Folded only when a different variant, a datum
-    /// observation, a merge or the finalize needs it — not per block.
+    /// observation or the finalize needs it — not per block.
     pending: Vec<Option<IntVar>>,
     /// Per call: a typed integer lane has fed it.
     int_lane: Vec<bool>,
@@ -607,52 +583,6 @@ impl PartialAgg {
             .map(|(i, k)| (k.clone(), i as u32))
             .collect();
         self.keys = Keys::General { index, keys };
-    }
-
-    /// Merge a later morsel's state in (morsel order).
-    pub(crate) fn merge(&mut self, mut other: PartialAgg) {
-        for j in 0..self.n_calls {
-            self.fold_pending(j);
-            other.fold_pending(j);
-            self.int_lane[j] |= other.int_lane[j];
-        }
-        if other.n_groups == 0 {
-            return;
-        }
-        if self.n_groups == 0 {
-            other.int_lane = std::mem::take(&mut self.int_lane);
-            *self = other;
-            return;
-        }
-        let scalar = matches!(self.keys, Keys::Empty);
-        let same_typed = matches!(
-            (&self.keys, &other.keys),
-            (Keys::Typed { vars: a, .. }, Keys::Typed { vars: b, .. }) if a == b
-        );
-        if !scalar && !same_typed {
-            self.degrade();
-            other.degrade();
-        }
-        // `other`'s groups are visited in order, so its accumulators move
-        // out of one iterator, `n_calls` at a time. A group new to `self`
-        // starts from fresh accumulators, into which a merge is a move.
-        let nc = self.n_calls;
-        let mut from = std::mem::take(&mut other.accs).into_iter();
-        for g in 0..other.n_groups {
-            let slot = match &mut other.keys {
-                Keys::Empty => 0,
-                Keys::Typed { vars, flat, .. } => {
-                    self.typed_slot(&flat[g * vars.len()..][..vars.len()])
-                }
-                Keys::General { keys, .. } => self.general_slot(std::mem::take(&mut keys[g])),
-            } as usize;
-            for (a, b) in self.accs[slot * nc..]
-                .iter_mut()
-                .zip(from.by_ref().take(nc))
-            {
-                a.merge(b);
-            }
-        }
     }
 
     /// Emit output rows (first-seen group order), mirroring

@@ -5,7 +5,8 @@
 //! [`mpp_common::RowBlock`] chunks instead of `Vec<Row>`:
 //!
 //! * scans hand out the storage blocks themselves (refcounted columns —
-//!   no per-row materialization),
+//!   no per-row materialization) through [`scan_blocks`], which the fused
+//!   morsel driver (`morsel.rs`) calls too,
 //! * filters refine a block's **selection vector** in place of copying
 //!   surviving rows,
 //! * projections and join-key extraction evaluate column-at-a-time via
@@ -15,8 +16,9 @@
 //!   when every key column is an integer column, datum keys otherwise,
 //!   candidates in build order, a residual evaluated columnar over each
 //!   chunk's candidate pairs, one output block,
-//! * aggregation folds the child's chunks, in order, through one instance
-//!   of the typed kernel (`agg_kernel.rs`) — no `Vec<Datum>` per row,
+//! * aggregation ([`hash_agg_blocks`], also the fused driver's) folds the
+//!   child's chunks, in order, through one instance of the typed kernel
+//!   (`agg_kernel.rs`) — no `Vec<Datum>` per row,
 //! * Motions cache and ship chunk lists; Broadcast destinations share
 //!   the same materialization (column `Arc` bumps), Redistribute hashes
 //!   every chunk once per Motion and routes by selection,
@@ -68,69 +70,10 @@ pub(crate) fn exec_block(
     ctx: &ExecContext<'_>,
 ) -> Result<Vec<RowBlock>> {
     match plan {
-        PhysicalPlan::TableScan {
-            table,
-            output,
-            filter,
-            ..
-        } => {
-            let block = storage.scan_block(PhysId::Table(*table), seg);
-            let n = block.as_ref().map_or(0, |b| b.len());
-            ctx.seg_stats(seg).record_table_scan(*table, n);
-            let chunks: Vec<RowBlock> = block.into_iter().filter(|b| !b.is_empty()).collect();
-            filter_blocks(chunks, filter.as_ref(), output, seg, ctx)
-        }
-
-        PhysicalPlan::PartScan {
-            table,
-            part,
-            output,
-            filter,
-            gate,
-            ..
-        } => {
-            ctx.check_cancel()?;
-            if let Some(g) = gate {
-                if !ctx.oid_param_contains(*g, *part)? {
-                    return Ok(Vec::new());
-                }
-            }
-            let block = storage.scan_block(PhysId::Part(*part), seg);
-            let n = block.as_ref().map_or(0, |b| b.len());
-            ctx.seg_stats(seg).record_part_scan(*table, *part, n);
-            let chunks: Vec<RowBlock> = block.into_iter().filter(|b| !b.is_empty()).collect();
-            filter_blocks(chunks, filter.as_ref(), output, seg, ctx)
-        }
-
-        PhysicalPlan::DynamicScan {
-            table,
-            part_scan_id,
-            output,
-            filter,
-            restrict,
-            ..
-        } => {
-            let mut oids = ctx.consume_parts(*part_scan_id, seg)?;
-            // Adaptive group branch: scan only the selector-propagated OIDs
-            // that fall inside this branch's partition group.
-            if let Some(keep) = restrict {
-                oids.retain(|oid| keep.contains(oid));
-            }
-            let scans = storage.scan_batch_blocks(oids.iter().map(|&oid| PhysId::Part(oid)), seg);
-            let mut chunks = Vec::new();
-            {
-                let mut stats = ctx.seg_stats(seg);
-                for (oid, (_, block)) in oids.iter().zip(scans) {
-                    ctx.check_cancel()?;
-                    let n = block.as_ref().map_or(0, |b| b.len());
-                    stats.record_part_scan(*table, *oid, n);
-                    if let Some(b) = block {
-                        if !b.is_empty() {
-                            chunks.push(b);
-                        }
-                    }
-                }
-            }
+        PhysicalPlan::TableScan { output, filter, .. }
+        | PhysicalPlan::PartScan { output, filter, .. }
+        | PhysicalPlan::DynamicScan { output, filter, .. } => {
+            let chunks = scan_blocks(plan, seg, storage, ctx, &mut ctx.seg_stats(seg))?;
             filter_blocks(chunks, filter.as_ref(), output, seg, ctx)
         }
 
@@ -231,44 +174,9 @@ pub(crate) fn exec_block(
             Ok(rows_to_chunks(rows, plan.output_cols().len()))
         }
 
-        PhysicalPlan::HashAgg {
-            group_by,
-            aggs,
-            child,
-            ..
-        } => {
+        PhysicalPlan::HashAgg { child, .. } => {
             let chunks = exec_block(child, seg, storage, ctx)?;
-            let cols = child.output_cols();
-            let mut exact = AggExec::prepare(group_by, aggs, &cols, ctx)?;
-            let spec = AggSpec::new(&exact, aggs, plan.output_cols().len());
-            // One kernel instance absorbs the chunks in order — no merge,
-            // so a float sum stays the row engine's sequential fold.
-            let mut kernel = PartialAgg::new(aggs.len());
-            let mut stats = SegmentStats::default();
-            let typed = match chunks
-                .iter()
-                .try_for_each(|b| kernel.absorb(b, &spec, &mut stats))
-            {
-                Ok(()) => kernel.finalize(&spec, seg),
-                Err(_) => Finalized::NeedsExact,
-            };
-            let rows = match typed {
-                Finalized::Rows(rows) => rows,
-                // An argument errored, or the typed state cannot prove
-                // its result: replay every chunk through the row
-                // accumulator from the start, which surfaces the
-                // row-major first error (or the exact value).
-                Finalized::NeedsExact => {
-                    for b in &chunks {
-                        for k in 0..b.len() {
-                            exact.observe_row(&b.row_at_phys(b.phys_index(k)))?;
-                        }
-                    }
-                    exact.finalize(aggs, seg)?
-                }
-            };
-            ctx.seg_stats(seg).absorb(stats);
-            Ok(rows_to_chunks(rows, spec.width))
+            hash_agg_blocks(plan, &chunks, seg, ctx)
         }
 
         PhysicalPlan::Motion { kind, child } => {
@@ -386,6 +294,116 @@ pub(crate) fn exec_block(
             ))
         }
     }
+}
+
+/// The non-empty stored blocks a scan node reads on `seg`, unfiltered,
+/// with the scan recorded into `stats`. A gated-out `PartScan` reads and
+/// records nothing; a `DynamicScan` reads the OIDs its selector
+/// propagated, narrowed by `restrict`. Shared by [`exec_block`]'s scan
+/// arms and the fused morsel driver.
+pub(crate) fn scan_blocks(
+    plan: &PhysicalPlan,
+    seg: SegmentId,
+    storage: &Storage,
+    ctx: &ExecContext<'_>,
+    stats: &mut SegmentStats,
+) -> Result<Vec<RowBlock>> {
+    let (table, oids) = match plan {
+        PhysicalPlan::TableScan { table, .. } => {
+            let block = storage.scan_block(PhysId::Table(*table), seg);
+            stats.record_table_scan(*table, block.as_ref().map_or(0, |b| b.len()));
+            return Ok(block.into_iter().filter(|b| !b.is_empty()).collect());
+        }
+        PhysicalPlan::PartScan {
+            table, part, gate, ..
+        } => {
+            ctx.check_cancel()?;
+            if let Some(g) = gate {
+                if !ctx.oid_param_contains(*g, *part)? {
+                    return Ok(Vec::new());
+                }
+            }
+            (table, vec![*part])
+        }
+        PhysicalPlan::DynamicScan {
+            table,
+            part_scan_id,
+            restrict,
+            ..
+        } => {
+            let mut oids = ctx.consume_parts(*part_scan_id, seg)?;
+            // Adaptive group branch: scan only the selector-propagated OIDs
+            // that fall inside this branch's partition group.
+            if let Some(keep) = restrict {
+                oids.retain(|oid| keep.contains(oid));
+            }
+            (table, oids)
+        }
+        _ => {
+            return Err(Error::Internal(
+                "scan_blocks reached a non-scan node".into(),
+            ))
+        }
+    };
+    let scans = storage.scan_batch_blocks(oids.iter().map(|&oid| PhysId::Part(oid)), seg);
+    let mut chunks = Vec::new();
+    for (oid, (_, block)) in oids.iter().zip(scans) {
+        ctx.check_cancel()?;
+        stats.record_part_scan(*table, *oid, block.as_ref().map_or(0, |b| b.len()));
+        chunks.extend(block.filter(|b| !b.is_empty()));
+    }
+    Ok(chunks)
+}
+
+/// The `HashAgg` arm over a segment's already-computed child chunks: one
+/// typed kernel instance absorbs them in order, so a float sum is the row
+/// engine's sequential fold. Shared by [`exec_block`] and the fused
+/// morsel driver, which passes a segment's morsel blocks in morsel order.
+pub(crate) fn hash_agg_blocks(
+    agg: &PhysicalPlan,
+    chunks: &[RowBlock],
+    seg: SegmentId,
+    ctx: &ExecContext<'_>,
+) -> Result<Vec<RowBlock>> {
+    let PhysicalPlan::HashAgg {
+        group_by,
+        aggs,
+        child,
+        ..
+    } = agg
+    else {
+        return Err(Error::Internal(
+            "hash_agg_blocks reached a non-HashAgg node".into(),
+        ));
+    };
+    let mut exact = AggExec::prepare(group_by, aggs, &child.output_cols(), ctx)?;
+    let spec = AggSpec::new(&exact, aggs, agg.output_cols().len());
+    let mut kernel = PartialAgg::new(aggs.len());
+    let mut stats = SegmentStats::default();
+    let typed = match chunks
+        .iter()
+        .try_for_each(|b| kernel.absorb(b, &spec, &mut stats))
+    {
+        Ok(()) => kernel.finalize(&spec, seg),
+        Err(_) => Finalized::NeedsExact,
+    };
+    let rows = match typed {
+        Finalized::Rows(rows) => rows,
+        // An argument errored, or the typed state cannot prove its
+        // result: replay every chunk through the row accumulator from the
+        // start, which surfaces the row-major first error (or the exact
+        // value).
+        Finalized::NeedsExact => {
+            for b in chunks {
+                for k in 0..b.len() {
+                    exact.observe_row(&b.row_at_phys(b.phys_index(k)))?;
+                }
+            }
+            exact.finalize(aggs, seg)?
+        }
+    };
+    ctx.seg_stats(seg).absorb(stats);
+    Ok(rows_to_chunks(rows, spec.width))
 }
 
 /// Apply an optional scan/filter predicate by refining each chunk's

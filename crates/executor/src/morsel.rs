@@ -20,14 +20,15 @@
 //!      | Sequence[static selectors.., scan])
 //! ```
 //!
-//! the slice is *fused*: each segment's scan output is cut into morsels of
-//! at most [`SchedConfig::morsel_rows`] rows (partition × block ranges),
-//! and every morsel runs the whole scan→filter→project→partial-agg
-//! pipeline as one task. A skewed partition therefore spreads over all
-//! workers instead of serializing its segment's thread, and the fused
-//! pipeline keeps per-morsel group state in the typed aggregation kernel
-//! (`agg_kernel.rs`, shared with the unfused `HashAgg` arm) instead
-//! of per-row `Vec<Datum>` keys.
+//! the slice is *fused*: each segment's scan output — read through
+//! [`scan_blocks`], the scan arms' own code — is cut into morsels of at
+//! most [`SchedConfig::morsel_rows`] rows (partition × block ranges), and
+//! every morsel runs the filter and project operators below the
+//! aggregation as one task. A skewed partition therefore spreads over all
+//! workers instead of serializing its segment's thread. Aggregation is
+//! not split: once the morsels have run, one task per segment passes the
+//! segment's morsel blocks, in morsel order, to [`hash_agg_blocks`] — the
+//! `HashAgg` arm itself — and then runs the operators above it.
 //!
 //! ## Determinism
 //!
@@ -36,39 +37,39 @@
 //!
 //! * the morsel decomposition depends only on the stored blocks and
 //!   `morsel_rows` — never on the worker count — and per-segment results
-//!   (blocks, partial aggregates, buffered stats) are merged in morsel
-//!   order, so stats and rows are scheduling-independent;
+//!   (blocks, buffered stats) are collected in morsel order, so stats and
+//!   rows are scheduling-independent; an aggregate folds the same rows in
+//!   the same order as the unfused arm, so a float sum is its sequential
+//!   fold, bit for bit;
 //! * fused tasks accumulate into *buffered* [`SegmentStats`], absorbed
 //!   into the shared context only when the whole segment succeeds;
-//! * any morsel error — and any merge whose result the partial
-//!   accumulators cannot prove exact (int-sum overflow detected via i128
-//!   prefix extremes, float sums merged across morsels, whose value
-//!   depends on addition order) — discards the segment's buffered state
-//!   and **re-runs that segment's slice through the unfused
+//! * a morsel error — and nothing else — discards the segment's buffered
+//!   state and **re-runs that segment's slice through the unfused
 //!   [`exec_block`] path**, adopting whatever that reference run produces
 //!   (rows or error). Row-fallback error *ordering* therefore always
 //!   matches the row engine: the re-run surfaces the row-major-first
-//!   error, regardless of which morsel failed first under stealing.
+//!   error, regardless of which morsel failed first under stealing. An
+//!   error in the fold or above it is already the reference's error: the
+//!   same code sees the same rows in the same order.
 //!
 //! Static partition selectors run once per segment on the driver thread
 //! (they publish OID sets and count `selector_runs` against the real
 //! context); the re-run path strips them from the slice so their stats
 //! are never double-counted.
 
-use crate::agg_kernel::{AggSpec, Finalized, PartialAgg};
-use crate::block_exec::{exec_block, filter_block_core, project_block_core, rows_to_chunks};
+use crate::block_exec::{
+    exec_block, filter_block_core, hash_agg_blocks, project_block_core, scan_blocks,
+};
 use crate::context::ExecContext;
-use crate::exec::{compiled, exec, AggExec, ExecEngine};
+use crate::exec::{compiled, exec, ExecEngine};
 use crate::pool;
 use crate::slice::SlicePlan;
 use crate::stats::SegmentStats;
 use crate::stream::{ResultChunk, RowSink};
-use mpp_common::{
-    Error, MotionId, PartOid, PartScanId, Result, Row, RowBlock, SegmentId, TableOid,
-};
+use mpp_common::{Error, MotionId, Result, Row, RowBlock, SegmentId};
 use mpp_expr::CompiledExpr;
 use mpp_plan::{MotionKind, PhysicalPlan};
-use mpp_storage::{PhysId, Storage};
+use mpp_storage::Storage;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -387,7 +388,7 @@ fn run_stages_blocks(
     if let Some((id, child)) = streamed {
         // Analyze once; the fused driver then runs one segment at a time
         // so chunks stream out as each segment completes. Single-segment
-        // invocations produce the same morsel decomposition, merge order
+        // invocations produce the same morsel decomposition, fold order
         // and stats as one all-segments invocation — only the scheduling
         // envelope shrinks.
         let fused = FusedSlice::analyze(child, ctx);
@@ -448,46 +449,24 @@ enum FusedOp {
     Project(Vec<Arc<CompiledExpr>>),
 }
 
-/// One partition scan of an `Append` (or a lone `PartScan`).
-struct PartSpec {
-    table: TableOid,
-    part: PartOid,
-    gate: Option<u32>,
-    filter: Option<Arc<CompiledExpr>>,
-}
-
-/// Blocks enumerated from a segment, each with its scan-embedded filter.
-type ScannedBlocks = Vec<(RowBlock, Option<Arc<CompiledExpr>>)>;
-
-/// Where a fused slice's blocks come from.
-enum FusedSource {
-    Table {
-        table: TableOid,
-        filter: Option<Arc<CompiledExpr>>,
-    },
-    Parts(Vec<PartSpec>),
-    Dynamic {
-        table: TableOid,
-        id: PartScanId,
-        filter: Option<Arc<CompiledExpr>>,
-        /// Adaptive group branch: intersect the selector-propagated OIDs
-        /// with this set before scanning (mirrors `DynamicScan::restrict`).
-        restrict: Option<Vec<PartOid>>,
-    },
-}
+/// What one morsel task hands back: its buffered stats and its filtered
+/// or projected block (none when every row was filtered out).
+type MorselOut = Result<(SegmentStats, Vec<RowBlock>)>;
 
 struct FusedSlice<'p> {
     /// Static partition selectors (a `Sequence` prefix), run once per
     /// segment on the driver against the real context.
     selectors: Vec<&'p PhysicalPlan>,
-    source: FusedSource,
-    /// Per-morsel operators below the aggregation (scan-embedded filters
-    /// ride on each enumerated block instead — they can differ per
-    /// `Append` child).
+    /// The scan nodes, in order, each with its compiled filter (they can
+    /// differ per `Append` child).
+    scans: Vec<(&'p PhysicalPlan, Option<Arc<CompiledExpr>>)>,
+    /// Per-morsel operators below the aggregation.
     pre_ops: Vec<FusedOp>,
-    agg: Option<AggSpec<'p>>,
-    /// Operators above the aggregation; they see at most one chunk per
-    /// segment and run on the driver after the merge.
+    /// The `HashAgg` node; the driver folds each segment's morsel blocks
+    /// through [`hash_agg_blocks`].
+    agg: Option<&'p PhysicalPlan>,
+    /// Operators above the aggregation; they run on the driver after the
+    /// fold.
     post_ops: Vec<FusedOp>,
     /// The slice child itself — the reference path for re-runs.
     node: &'p PhysicalPlan,
@@ -499,51 +478,37 @@ struct FusedSlice<'p> {
 
 impl<'p> FusedSlice<'p> {
     /// Decide whether `node` has the fusable shape, compiling every
-    /// expression once. Anything unexpected — including a compile-time
-    /// aggregation error — declines fusion so the per-segment reference
-    /// path surfaces identical behavior.
+    /// per-morsel expression once.
     fn analyze(node: &'p PhysicalPlan, ctx: &ExecContext<'_>) -> Option<FusedSlice<'p>> {
         let mut cur = node;
         let mut post_rev: Vec<FusedOp> = Vec::new();
         let mut pre_rev: Vec<FusedOp> = Vec::new();
-        let mut agg: Option<AggSpec<'p>> = None;
+        let mut agg: Option<&'p PhysicalPlan> = None;
         loop {
-            match cur {
-                PhysicalPlan::Filter { pred, child } => {
-                    let op = FusedOp::Filter(compiled(pred, &child.output_cols(), ctx));
-                    if agg.is_some() {
-                        pre_rev.push(op);
-                    } else {
-                        post_rev.push(op);
-                    }
-                    cur = child;
-                }
+            let (op, child) = match cur {
+                PhysicalPlan::Filter { pred, child } => (
+                    FusedOp::Filter(compiled(pred, &child.output_cols(), ctx)),
+                    child,
+                ),
                 PhysicalPlan::Project { exprs, child, .. } => {
                     let cols = child.output_cols();
-                    let op =
-                        FusedOp::Project(exprs.iter().map(|e| compiled(e, &cols, ctx)).collect());
-                    if agg.is_some() {
-                        pre_rev.push(op);
-                    } else {
-                        post_rev.push(op);
-                    }
-                    cur = child;
+                    let exprs = exprs.iter().map(|e| compiled(e, &cols, ctx)).collect();
+                    (FusedOp::Project(exprs), child)
                 }
-                PhysicalPlan::HashAgg {
-                    group_by,
-                    aggs,
-                    child,
-                    ..
-                } => {
-                    if agg.is_some() {
-                        return None;
-                    }
-                    let prep = AggExec::prepare(group_by, aggs, &child.output_cols(), ctx).ok()?;
-                    agg = Some(AggSpec::new(&prep, aggs, cur.output_cols().len()));
+                PhysicalPlan::HashAgg { child, .. } if agg.is_none() => {
+                    agg = Some(cur);
                     cur = child;
+                    continue;
                 }
+                PhysicalPlan::HashAgg { .. } => return None,
                 _ => break,
+            };
+            if agg.is_some() {
+                pre_rev.push(op);
+            } else {
+                post_rev.push(op);
             }
+            cur = child;
         }
         if agg.is_none() {
             // No aggregation: every operator runs per morsel.
@@ -565,52 +530,21 @@ impl<'p> FusedSlice<'p> {
             }
             _ => (Vec::new(), cur),
         };
-        let part_spec = |c: &PhysicalPlan| -> Option<PartSpec> {
-            match c {
-                PhysicalPlan::PartScan {
-                    table,
-                    part,
-                    output,
-                    filter,
-                    gate,
-                    ..
-                } => Some(PartSpec {
-                    table: *table,
-                    part: *part,
-                    gate: *gate,
-                    filter: filter.as_ref().map(|f| compiled(f, output, ctx)),
-                }),
-                _ => None,
+        let scan = |c: &'p PhysicalPlan| match c {
+            PhysicalPlan::TableScan { output, filter, .. }
+            | PhysicalPlan::PartScan { output, filter, .. }
+            | PhysicalPlan::DynamicScan { output, filter, .. } => {
+                Some((c, filter.as_ref().map(|f| compiled(f, output, ctx))))
             }
+            _ => None,
         };
-        let source = match src_node {
-            PhysicalPlan::TableScan {
-                table,
-                output,
-                filter,
-                ..
-            } => FusedSource::Table {
-                table: *table,
-                filter: filter.as_ref().map(|f| compiled(f, output, ctx)),
-            },
-            PhysicalPlan::PartScan { .. } => FusedSource::Parts(vec![part_spec(src_node)?]),
-            PhysicalPlan::DynamicScan {
-                table,
-                part_scan_id,
-                output,
-                filter,
-                restrict,
-                ..
-            } => FusedSource::Dynamic {
-                table: *table,
-                id: *part_scan_id,
-                filter: filter.as_ref().map(|f| compiled(f, output, ctx)),
-                restrict: restrict.clone(),
-            },
-            PhysicalPlan::Append { children, .. } => {
-                FusedSource::Parts(children.iter().map(part_spec).collect::<Option<Vec<_>>>()?)
-            }
-            _ => return None,
+        let scans = match src_node {
+            // An `Append` fuses only over legacy `PartScan`s.
+            PhysicalPlan::Append { children, .. } => children
+                .iter()
+                .map(|c| scan(c).filter(|_| matches!(c, PhysicalPlan::PartScan { .. })))
+                .collect::<Option<Vec<_>>>()?,
+            _ => vec![scan(src_node)?],
         };
         let rerun = if selectors.is_empty() {
             None
@@ -619,72 +553,13 @@ impl<'p> FusedSlice<'p> {
         };
         Some(FusedSlice {
             selectors,
-            source,
+            scans,
             pre_ops: pre_rev,
             agg,
             post_ops: post_rev,
             node,
             rerun,
         })
-    }
-
-    /// Scan this segment's blocks, recording scan stats into a *local*
-    /// buffer. Mirrors the scan arms of [`exec_block`] exactly (including
-    /// the no-record early return of a gated-out `PartScan`).
-    fn enumerate_segment(
-        &self,
-        seg: SegmentId,
-        storage: &Storage,
-        ctx: &ExecContext<'_>,
-    ) -> Result<(SegmentStats, ScannedBlocks)> {
-        let mut local = SegmentStats::default();
-        let mut blocks = Vec::new();
-        let mut push = |block: Option<RowBlock>, filter: &Option<Arc<CompiledExpr>>| {
-            if let Some(b) = block {
-                if !b.is_empty() {
-                    blocks.push((b, filter.clone()));
-                }
-            }
-        };
-        match &self.source {
-            FusedSource::Table { table, filter } => {
-                let block = storage.scan_block(PhysId::Table(*table), seg);
-                local.record_table_scan(*table, block.as_ref().map_or(0, |b| b.len()));
-                push(block, filter);
-            }
-            FusedSource::Parts(specs) => {
-                for s in specs {
-                    ctx.check_cancel()?;
-                    if let Some(g) = s.gate {
-                        if !ctx.oid_param_contains(g, s.part)? {
-                            continue;
-                        }
-                    }
-                    let block = storage.scan_block(PhysId::Part(s.part), seg);
-                    local.record_part_scan(s.table, s.part, block.as_ref().map_or(0, |b| b.len()));
-                    push(block, &s.filter);
-                }
-            }
-            FusedSource::Dynamic {
-                table,
-                id,
-                filter,
-                restrict,
-            } => {
-                let mut oids = ctx.consume_parts(*id, seg)?;
-                if let Some(keep) = restrict {
-                    oids.retain(|oid| keep.contains(oid));
-                }
-                let scans =
-                    storage.scan_batch_blocks(oids.iter().map(|&oid| PhysId::Part(oid)), seg);
-                for (oid, (_, block)) in oids.iter().zip(scans) {
-                    ctx.check_cancel()?;
-                    local.record_part_scan(*table, *oid, block.as_ref().map_or(0, |b| b.len()));
-                    push(block, filter);
-                }
-            }
-        }
-        Ok((local, blocks))
     }
 }
 
@@ -725,25 +600,13 @@ fn strip_selectors(node: &PhysicalPlan) -> PhysicalPlan {
     }
 }
 
-/// What one morsel task hands back to the driver.
-enum MorselPayload {
-    /// Filter/project pipeline output (`None` = fully filtered out).
-    Blocks(Option<RowBlock>),
-    /// Per-morsel partial aggregation state.
-    Agg(Box<PartialAgg>),
-}
-
-struct MorselOut {
-    stats: SegmentStats,
-    payload: MorselPayload,
-}
-
-/// Run the fused pipeline over one morsel, accumulating stats locally.
+/// Run the per-morsel operators over one morsel, accumulating stats
+/// locally.
 fn run_morsel(
     fused: &FusedSlice<'_>,
     block: RowBlock,
     scan_filter: Option<Arc<CompiledExpr>>,
-) -> Result<MorselOut> {
+) -> MorselOut {
     let t0 = Instant::now();
     let mut stats = SegmentStats::default();
     // Densify sliced morsels up front: expression kernels evaluate
@@ -755,48 +618,19 @@ fn run_morsel(
     } else {
         block
     };
-    let mut cur = Some(block);
-    if let Some(pred) = &scan_filter {
-        cur = filter_block_core(pred, cur.take().expect("morsel block"), &mut stats)?;
-    }
-    if cur.is_some() {
-        for op in &fused.pre_ops {
-            match op {
-                FusedOp::Filter(pred) => {
-                    cur = filter_block_core(pred, cur.take().expect("live block"), &mut stats)?;
-                }
-                FusedOp::Project(exprs) => {
-                    let nb =
-                        project_block_core(exprs, cur.as_ref().expect("live block"), &mut stats)?;
-                    cur = if nb.is_empty() {
-                        None
-                    } else {
-                        stats.blocks_produced += 1;
-                        Some(nb)
-                    };
-                }
-            }
-            if cur.is_none() {
-                break;
-            }
-        }
-    }
-    let payload = match &fused.agg {
-        Some(agg) => {
-            let mut pa = PartialAgg::new(agg.calls.len());
-            if let Some(b) = &cur {
-                pa.absorb(b, agg, &mut stats)?;
-            }
-            MorselPayload::Agg(Box::new(pa))
-        }
-        None => MorselPayload::Blocks(cur),
+    let chunks = match &scan_filter {
+        Some(pred) => filter_block_core(pred, block, &mut stats)?
+            .into_iter()
+            .collect(),
+        None => vec![block],
     };
+    let chunks = apply_ops(chunks, &fused.pre_ops, &mut stats)?;
     stats.elapsed += t0.elapsed();
-    Ok(MorselOut { stats, payload })
+    Ok((stats, chunks))
 }
 
-/// Apply the post-aggregation operators to a segment's chunk list,
-/// mirroring the Filter/Project arms of [`exec_block`].
+/// Apply fused operators to a chunk list, mirroring the Filter/Project
+/// arms of [`exec_block`].
 fn apply_ops(
     mut chunks: Vec<RowBlock>,
     ops: &[FusedOp],
@@ -825,7 +659,8 @@ fn apply_ops(
     Ok(chunks)
 }
 
-/// Drive one fused slice: selectors, enumeration, morsel tasks, merge.
+/// Drive one fused slice: selectors, scans, morsel tasks, then per
+/// segment the aggregation fold and the operators above it.
 #[allow(clippy::too_many_arguments)]
 fn run_fused(
     fused: &FusedSlice<'_>,
@@ -855,9 +690,9 @@ fn run_fused(
         }
     }
 
-    // Enumerate every segment's blocks and cut them into morsels. The
-    // decomposition depends only on the stored blocks and `morsel_rows`,
-    // never on the worker count.
+    // Scan every segment's blocks into a local stats buffer and cut them
+    // into morsels. The decomposition depends only on the stored blocks
+    // and `morsel_rows`, never on the worker count.
     let mr = sched.morsel_rows.max(1);
     let mut morsel_seg: Vec<usize> = Vec::new();
     let mut morsels: Vec<(RowBlock, Option<Arc<CompiledExpr>>)> = Vec::new();
@@ -866,125 +701,84 @@ fn run_fused(
             continue;
         }
         let t0 = Instant::now();
-        match fused.enumerate_segment(seg, storage, ctx) {
-            Ok((mut local, blocks)) => {
-                local.elapsed += t0.elapsed();
-                seg_stats[i] = local;
-                for (b, f) in blocks {
-                    for m in mpp_storage::block_morsels(&b, mr) {
-                        morsel_seg.push(i);
-                        morsels.push((m, f.clone()));
-                    }
+        let stats = &mut seg_stats[i];
+        let res = fused.scans.iter().try_for_each(|(scan, filter)| {
+            for b in scan_blocks(scan, seg, storage, ctx, stats)? {
+                for m in mpp_storage::block_morsels(&b, mr) {
+                    morsel_seg.push(i);
+                    morsels.push((m, filter.clone()));
                 }
             }
-            Err(e) => seg_errs[i] = Some(e),
+            Ok(())
+        });
+        stats.elapsed += t0.elapsed();
+        if let Err(e) = res {
+            seg_errs[i] = Some(e);
         }
     }
 
-    let tasks: Vec<Box<dyn FnOnce() -> Result<MorselOut> + Send + '_>> = morsels
+    let tasks: Vec<Box<dyn FnOnce() -> MorselOut + Send + '_>> = morsels
         .into_iter()
         .map(|(block, filter)| {
             Box::new(move || run_morsel(fused, block, filter))
-                as Box<dyn FnOnce() -> Result<MorselOut> + Send + '_>
+                as Box<dyn FnOnce() -> MorselOut + Send + '_>
         })
         .collect();
     let outs = run_tasks(workers, tasks);
 
     // Group morsel outcomes back by segment, in morsel order.
-    let mut seg_outs: Vec<Vec<Option<Result<MorselOut>>>> = Vec::with_capacity(n_segs);
+    let mut seg_outs: Vec<Vec<Option<MorselOut>>> = Vec::with_capacity(n_segs);
     seg_outs.resize_with(n_segs, Vec::new);
     for (i, out) in morsel_seg.into_iter().zip(outs) {
         seg_outs[i].push(out);
     }
 
+    // Then one task per segment: fold its morsel blocks and run the
+    // operators above the fold — or, after a morsel error, re-run it.
     let rerun_node = fused.rerun.as_ref().unwrap_or(fused.node);
-    let rerun = |seg: SegmentId| -> Result<Vec<RowBlock>> {
-        let t0 = Instant::now();
-        let res = exec_block(rerun_node, seg, storage, ctx);
-        ctx.seg_stats(seg).elapsed += t0.elapsed();
-        res
+    let finish = |seg, mut stats: SegmentStats, outs: Vec<Option<MorselOut>>| {
+        let mut chunks = Vec::new();
+        for out in outs {
+            match out.ok_or_else(|| Error::Internal("morsel worker panicked".into()))? {
+                // Discard buffered state; the reference re-run
+                // reproduces the row-major-first error exactly.
+                Err(_) => return exec_block(rerun_node, seg, storage, ctx),
+                Ok((s, blocks)) => {
+                    stats.absorb(s);
+                    chunks.extend(blocks);
+                }
+            }
+        }
+        ctx.seg_stats(seg).absorb(stats);
+        match fused.agg {
+            Some(agg) => hash_agg_blocks(agg, &chunks, seg, ctx)
+                .and_then(|rows| apply_ops(rows, &fused.post_ops, &mut ctx.seg_stats(seg))),
+            None => Ok(chunks),
+        }
     };
-
-    let mut first_err: Option<Error> = None;
-    let mut per_source: Vec<Vec<RowBlock>> = Vec::with_capacity(n_segs);
-    'segs: for (i, &seg) in segs.iter().enumerate() {
-        per_source.push(Vec::new());
-        if first_err.is_some() {
-            // A lower segment already failed; the query result is that
-            // error regardless of what later segments would produce.
-            continue;
-        }
-        if let Some(e) = seg_errs[i].take() {
-            first_err = Some(e);
-            continue;
-        }
-        let mut stats = std::mem::take(&mut seg_stats[i]);
-        let mut payloads: Vec<MorselPayload> = Vec::with_capacity(seg_outs[i].len());
-        let mut needs_rerun = false;
-        for out in seg_outs[i].drain(..) {
-            match out {
-                None => {
-                    first_err = Some(Error::Internal("morsel worker panicked".into()));
-                    continue 'segs;
+    let finish = &finish;
+    let tasks: Vec<Box<dyn FnOnce() -> Result<Vec<RowBlock>> + Send + '_>> = segs
+        .iter()
+        .zip(seg_errs)
+        .zip(seg_stats)
+        .zip(seg_outs)
+        .map(|(((&seg, err), stats), outs)| {
+            Box::new(move || {
+                if let Some(e) = err {
+                    return Err(e);
                 }
-                Some(Err(_)) => {
-                    // Discard buffered state; the reference re-run
-                    // reproduces the row-major-first error exactly.
-                    needs_rerun = true;
-                    break;
-                }
-                Some(Ok(mo)) => {
-                    stats.absorb(mo.stats);
-                    payloads.push(mo.payload);
-                }
-            }
-        }
-        let chunks = if needs_rerun {
-            None
-        } else if let Some(agg) = &fused.agg {
-            let mut iter = payloads.into_iter();
-            let mut pa = match iter.next() {
-                Some(MorselPayload::Agg(pa)) => *pa,
-                Some(MorselPayload::Blocks(_)) => unreachable!("agg slice yields agg payloads"),
-                None => PartialAgg::new(agg.calls.len()),
-            };
-            for p in iter {
-                match p {
-                    MorselPayload::Agg(other) => pa.merge(*other),
-                    MorselPayload::Blocks(_) => unreachable!("agg slice yields agg payloads"),
-                }
-            }
-            match pa.finalize(agg, seg) {
-                Finalized::Rows(rows) => {
-                    let chunks = rows_to_chunks(rows, agg.width);
-                    apply_ops(chunks, &fused.post_ops, &mut stats).ok()
-                }
-                Finalized::NeedsExact => None,
-            }
-        } else {
-            let chunks: Vec<RowBlock> = payloads
-                .into_iter()
-                .filter_map(|p| match p {
-                    MorselPayload::Blocks(b) => b,
-                    MorselPayload::Agg(_) => unreachable!("pipeline slice yields block payloads"),
-                })
-                .collect();
-            Some(chunks)
-        };
-        match chunks {
-            Some(chunks) => {
-                ctx.seg_stats(seg).absorb(stats);
-                per_source[i] = chunks;
-            }
-            None => match rerun(seg) {
-                Ok(chunks) => per_source[i] = chunks,
-                Err(e) => first_err = Some(e),
-            },
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
+                let t0 = Instant::now();
+                let res = finish(seg, stats, outs);
+                ctx.seg_stats(seg).elapsed += t0.elapsed();
+                res
+            }) as Box<dyn FnOnce() -> Result<Vec<RowBlock>> + Send + '_>
+        })
+        .collect();
+    // The first error in segment order wins.
+    let per_source = run_tasks(workers, tasks)
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|| Err(Error::Internal("segment worker panicked".into()))))
+        .collect::<Result<Vec<_>>>()?;
     let routed = if preroute {
         per_source.iter().flatten().cloned().collect()
     } else {
@@ -999,6 +793,7 @@ mod tests {
     use crate::exec::{execute_with_params_sched, QueryResult};
     use mpp_catalog::{Catalog, Distribution, TableDesc};
     use mpp_common::value::ArithOp;
+    use mpp_common::TableOid;
     use mpp_common::{row, Column, DataType, Datum, Schema};
     use mpp_expr::{CmpOp, ColRef, Expr};
     use mpp_plan::{AggCall, AggFunc};
@@ -1335,10 +1130,10 @@ mod tests {
     /// like the sequential accumulator — even when a later morsel would
     /// bring the total back in range.
     #[test]
-    fn transient_sum_overflow_reruns_and_errors() {
+    fn transient_sum_overflow_errors_like_the_row_engine() {
         let big = i64::MAX / 2 + 1;
         // Two big positives overflow mid-stream; the negatives would
-        // cancel it out if partials were naively summed in i128.
+        // cancel it out if the sum were checked only at the end.
         let rows: Vec<(i64, i64)> = vec![(big, 0), (big, 0), (-big, 0), (-big, 0)];
         let (st, t) = setup(1, rows);
         let plan = agg_plan(
@@ -1382,15 +1177,15 @@ mod tests {
         }
     }
 
-    /// Float sums merged across morsels re-run through the reference
-    /// path, so results are bit-identical to the row engine — not merely
-    /// close.
-    #[test]
-    fn float_sums_are_bit_identical_across_worker_counts() {
+    /// f(x Float64, g Int64, n Int64) hash-distributed on g over two
+    /// segments. Its floats span many magnitudes, so any reordering of
+    /// their additions changes a sum's low bits.
+    fn float_table() -> (Storage, TableOid) {
         let cat = Catalog::new();
         let schema = Schema::new(vec![
             Column::new("x", DataType::Float64),
             Column::new("g", DataType::Int64),
+            Column::new("n", DataType::Int64),
         ]);
         let t = cat.allocate_table_oid();
         cat.register(TableDesc {
@@ -1402,34 +1197,83 @@ mod tests {
         })
         .unwrap();
         let st = Storage::new(cat, 2);
-        // Sums of many different-magnitude floats: any reordering of the
-        // additions changes the low bits.
         st.insert(
             t,
-            (0..300).map(|i| row![(i as f64) * 0.1 + 1e10 / ((i + 1) as f64), i % 3]),
+            (0..300i64).map(|i| row![(i as f64) * 0.1 + 1e10 / ((i + 1) as f64), i % 3, i]),
         )
         .unwrap();
-        let plan = PhysicalPlan::Motion {
+        (st, t)
+    }
+
+    /// `Gather(HashAgg(scan f))` grouped on g: a fused aggregate, since
+    /// the GROUP BY covers the distribution key.
+    fn float_agg_plan(t: TableOid, aggs: Vec<AggCall>, filter: Option<Expr>) -> PhysicalPlan {
+        let mut output = vec![cr(2, "g")];
+        output.extend((0..aggs.len()).map(|i| cr(10 + i as u32, "agg")));
+        PhysicalPlan::Motion {
             kind: MotionKind::Gather,
             child: Box::new(PhysicalPlan::HashAgg {
                 group_by: vec![cr(2, "g")],
-                aggs: vec![
-                    AggCall::new(AggFunc::Sum, Expr::col(cr(1, "x"))),
-                    AggCall::new(AggFunc::Avg, Expr::col(cr(1, "x"))),
-                ],
-                output: vec![cr(2, "g"), cr(10, "sum"), cr(11, "avg")],
+                aggs,
+                output,
                 child: Box::new(PhysicalPlan::TableScan {
                     table: t,
                     table_name: "f".into(),
-                    output: vec![cr(1, "x"), cr(2, "g")],
-                    filter: None,
+                    output: vec![cr(1, "x"), cr(2, "g"), cr(3, "n")],
+                    filter,
                 }),
             }),
-        };
+        }
+    }
+
+    /// A segment's morsel blocks are folded in morsel order, so float sums
+    /// are bit-identical to the row engine — not merely close.
+    #[test]
+    fn float_sums_are_bit_identical_across_worker_counts() {
+        let (st, t) = float_table();
+        let plan = float_agg_plan(
+            t,
+            vec![
+                AggCall::new(AggFunc::Sum, Expr::col(cr(1, "x"))),
+                AggCall::new(AggFunc::Avg, Expr::col(cr(1, "x"))),
+            ],
+            None,
+        );
         let want = sorted_rows(reference(&st, &plan).unwrap());
         for sched in all_scheds() {
             let got = sorted_rows(run(&st, &plan, &sched).unwrap());
             assert_eq!(got, want, "{sched:?}");
         }
+    }
+
+    /// A fused float sum re-runs nothing: it produces exactly the blocks
+    /// an integer sum over the same filtered morsels does, and its rows
+    /// are the row engine's, bit for bit.
+    #[test]
+    fn fused_float_sum_produces_the_blocks_of_an_int_sum() {
+        let (st, t) = float_table();
+        let sched = SchedConfig {
+            workers: Some(1),
+            morsel_rows: 3,
+        };
+        let x_pos = Expr::cmp(
+            CmpOp::Gt,
+            Expr::col(cr(1, "x")),
+            Expr::lit(Datum::Float64(0.0)),
+        );
+        let blocks_produced = |arg: ColRef| {
+            let aggs = vec![AggCall::new(AggFunc::Sum, Expr::col(arg.clone()))];
+            let plan = float_agg_plan(t, aggs, Some(x_pos.clone()));
+            let want = sorted_rows(reference(&st, &plan).unwrap());
+            let got = run(&st, &plan, &sched).unwrap();
+            let n = got.stats.blocks_produced;
+            assert_eq!(
+                format!("{:?}", sorted_rows(got)),
+                format!("{want:?}"),
+                "sum({arg})"
+            );
+            n
+        };
+        assert_eq!(blocks_produced(cr(1, "x")), blocks_produced(cr(3, "n")));
     }
 }

@@ -755,6 +755,9 @@ fn gen_agg(g: &mut StdRng, tables: &[TableSpec], chosen: &[usize]) -> AggSpec {
                 .collect();
             v.push("s".into());
             v.push("v".into());
+            // The distribution key: its GROUP BY is co-located, so the
+            // aggregate runs in the scan's slice, fused with it.
+            v.push("id".into());
             v
         };
         Some(ColId::new(t, pick(g, &candidates).clone()))
@@ -833,13 +836,21 @@ mod tests {
 
     /// The hash join's two-column keys and residuals come from a second
     /// `ON` conjunct: both kinds must be generated, on inner and outer
-    /// joins alike.
+    /// joins alike. So must a single-table `GROUP BY id`: grouping on the
+    /// distribution key is the only aggregate fused with its scan.
     #[test]
     fn generator_covers_two_column_keys_and_residuals() {
         let (mut two_keys, mut residuals, mut outer) = (0usize, 0usize, 0usize);
+        let mut colocated_aggs = 0usize;
         for seed in 0..500u64 {
             for a in &gen_case(seed).actions {
                 let Action::Query(q) = a else { continue };
+                let by_id = q
+                    .agg
+                    .as_ref()
+                    .and_then(|agg| agg.group_by.as_ref())
+                    .is_some_and(|c| c.col == "id");
+                colocated_aggs += usize::from(by_id && q.tables.len() == 1);
                 let Some(j) = &q.join else { continue };
                 let Some(c) = &j.second else { continue };
                 assert_eq!((c.left.table, c.right.table), (q.tables[0], q.tables[1]));
@@ -854,6 +865,10 @@ mod tests {
         assert!(two_keys > 20, "two-column keys generated: {two_keys}");
         assert!(residuals > 20, "residuals generated: {residuals}");
         assert!(outer > 5, "outer joins with a second conjunct: {outer}");
+        assert!(
+            colocated_aggs > 20,
+            "single-table GROUP BY id generated: {colocated_aggs}"
+        );
     }
 
     #[test]
