@@ -96,7 +96,7 @@ pub fn time_median_pair<A, B>(
 }
 
 /// Overwrite `results/<name>.json` with `value` and a `stamp` field
-/// saying where it was measured (see [`stamp`]). One record per file:
+/// saying where it was measured (see `stamp`). One record per file:
 /// history lives in git.
 pub fn write_result(name: &str, value: &serde_json::Value) {
     let dir = std::path::Path::new("results");

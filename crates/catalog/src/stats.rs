@@ -29,7 +29,7 @@ pub const LEAF_SAMPLE_CAP: usize = 256;
 /// it is the table's only stratum, so it carries the whole budget.
 pub const TABLE_SAMPLE_CAP: usize = 4096;
 
-/// Distinct values an [`NdvSketch`] counts exactly before it switches to
+/// Distinct values an `NdvSketch` counts exactly before it switches to
 /// HyperLogLog registers. `8 * NDV_EXACT_CAP` bytes is also the size of
 /// the register array, so a sketch never exceeds 4 KiB.
 pub const NDV_EXACT_CAP: usize = 512;
@@ -404,7 +404,7 @@ impl ColumnSummary {
 
 /// The bounded statistical summary of one leaf partition (or of one
 /// unpartitioned table): row count and, per column, null count, min/max,
-/// an [`NdvSketch`] and a [`ValueSample`]. Inserts fold rows in; nothing
+/// an `NdvSketch` and a [`ValueSample`]. Inserts fold rows in; nothing
 /// can be taken back out except the row count, so a leaf that lost rows
 /// is re-summarized from its blocks by the next `ANALYZE`.
 #[derive(Debug, Clone, PartialEq)]

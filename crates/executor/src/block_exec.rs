@@ -1,11 +1,11 @@
 //! The vectorized (block) execution engine.
 //!
-//! `exec_block` mirrors [`crate::exec::exec`] operator for operator, but
+//! `exec_block` mirrors the row engine's `exec` operator for operator, but
 //! the payload between operators is a list of columnar
 //! [`mpp_common::RowBlock`] chunks instead of `Vec<Row>`:
 //!
 //! * scans hand out the storage blocks themselves (refcounted columns —
-//!   no per-row materialization) through [`scan_blocks`], which the fused
+//!   no per-row materialization) through `scan_blocks`, which the fused
 //!   morsel driver (`morsel.rs`) calls too,
 //! * filters refine a block's **selection vector** in place of copying
 //!   surviving rows,
@@ -16,12 +16,14 @@
 //!   when every key column is an integer column, datum keys otherwise,
 //!   candidates in build order, a residual evaluated columnar over each
 //!   chunk's candidate pairs, one output block,
-//! * aggregation ([`hash_agg_blocks`], also the fused driver's) folds the
+//! * aggregation (`hash_agg_blocks`, also the fused driver's) folds the
 //!   child's chunks, in order, through one instance of the typed kernel
 //!   (`agg_kernel.rs`) — no `Vec<Datum>` per row,
-//! * Motions cache and ship chunk lists; Broadcast destinations share
-//!   the same materialization (column `Arc` bumps), Redistribute hashes
-//!   every chunk once per Motion and routes by selection,
+//! * a Motion reads its share of the stage driver's chunk lists through
+//!   `read_motion`, which the row engine's Motion arm calls too: Broadcast
+//!   destinations share the same materialization (column `Arc` bumps),
+//!   Redistribute hashes every chunk once per Motion and routes by
+//!   selection,
 //! * the per-tuple `PartitionSelector` probe reads block columns
 //!   directly and routes to a dedup'd OID set.
 //!
@@ -33,15 +35,15 @@
 //! A hash join evaluates every key of both sides before it probes, and
 //! one strict key failure re-runs the whole join on the row engine.
 //! Nested-loops joins run row-wise (their predicate short-circuits per
-//! pair); DML plans never reach this module (the driver routes them to
-//! the row engine).
+//! pair). Init plans and DML target subtrees never run on this engine:
+//! the driver runs them on the row engine.
 
 use crate::agg_kernel::{AggSpec, Finalized, PartialAgg};
 use crate::context::ExecContext;
 use crate::exec::{compiled, exec, hash_join, nl_join, AggExec, TupleSelector};
 use crate::stats::SegmentStats;
 use crate::typed_key::{BlockCol, IntCol, TypedIndex};
-use mpp_common::{ColumnVec, Datum, Error, MotionId, Result, Row, RowBlock, SegmentId};
+use mpp_common::{ColumnVec, Datum, Error, Result, Row, RowBlock, SegmentId};
 use mpp_expr::{CompiledExpr, Expr};
 use mpp_plan::{JoinType, MotionKind, PhysicalPlan};
 use mpp_storage::{PhysId, Storage};
@@ -179,22 +181,7 @@ pub(crate) fn exec_block(
             hash_agg_blocks(plan, &chunks, seg, ctx)
         }
 
-        PhysicalPlan::Motion { kind, child } => {
-            let id = ctx.motion_id_of(plan)?;
-            if seg == SegmentId(0) && matches!(kind, MotionKind::Gather) {
-                if let Some(chunks) = ctx.preroute_blocks_take(id) {
-                    return Ok(chunks);
-                }
-            }
-            // The block engine only runs under the stage driver, which
-            // materializes every Motion before any slice reads it.
-            let per_source = ctx.motion_cached_blocks(id).ok_or_else(|| {
-                Error::Internal(format!(
-                    "staged execution reached {id} before its stage materialized it"
-                ))
-            })?;
-            route_motion_blocks(kind, &per_source, seg, storage, child, ctx, id)
-        }
+        PhysicalPlan::Motion { kind, child } => read_motion(plan, kind, child, seg, storage, ctx),
 
         PhysicalPlan::Append { children, .. } => {
             let mut out = Vec::new();
@@ -204,12 +191,8 @@ pub(crate) fn exec_block(
             Ok(out)
         }
 
-        PhysicalPlan::InitPlanOids { .. } => {
-            // Publication logic (and its run-once gate) lives in the row
-            // engine's arm; it returns no rows either way.
-            exec(plan, seg, storage, ctx)?;
-            Ok(Vec::new())
-        }
+        // Published by the driver before the main plan runs.
+        PhysicalPlan::InitPlanOids { .. } => Ok(Vec::new()),
 
         PhysicalPlan::Values { rows, output } => {
             if seg == SegmentId(0) && !rows.is_empty() {
@@ -849,17 +832,34 @@ impl JoinOut<'_> {
     }
 }
 
-/// Motion routing over block payloads.
-#[allow(clippy::too_many_arguments)]
-fn route_motion_blocks(
+/// Read Motion `plan` on `seg`: this segment's share of the chunks the
+/// stage driver materialized. Both engines read every Motion through
+/// here (the row engine flattens the result with [`blocks_to_rows`]).
+/// The cache is keyed by the node's stable [`mpp_common::MotionId`], not its
+/// address, so re-executions and clones of a plan read the same entry.
+pub(crate) fn read_motion(
+    plan: &PhysicalPlan,
     kind: &MotionKind,
-    per_source: &[Vec<RowBlock>],
+    child: &PhysicalPlan,
     seg: SegmentId,
     storage: &Storage,
-    child: &PhysicalPlan,
     ctx: &ExecContext<'_>,
-    id: MotionId,
 ) -> Result<Vec<RowBlock>> {
+    let id = ctx.motion_id_of(plan)?;
+    if seg == SegmentId(0) && matches!(kind, MotionKind::Gather) {
+        // First consumption of a Gather takes the copy the stage tasks
+        // pre-assembled; re-executions route from the cache below.
+        if let Some(chunks) = ctx.preroute_take(id) {
+            return Ok(chunks);
+        }
+    }
+    // The stage driver materializes every Motion before any slice above
+    // it runs; a miss is a scheduling bug, not a user error.
+    let per_source = ctx.motion_cached(id).ok_or_else(|| {
+        Error::Internal(format!(
+            "staged execution reached {id} before its stage materialized it"
+        ))
+    })?;
     match kind {
         MotionKind::Gather => {
             if seg == SegmentId(0) {

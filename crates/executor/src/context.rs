@@ -10,11 +10,11 @@
 use crate::prepared::CompiledCache;
 use crate::stats::{ExecutionStats, SegmentStats};
 use crate::stream::CancelToken;
-use mpp_common::{Datum, Error, MotionId, PartOid, PartScanId, Result, Row, RowBlock, SegmentId};
+use mpp_common::{Datum, Error, MotionId, PartOid, PartScanId, Result, RowBlock, SegmentId};
 use mpp_plan::PhysicalPlan;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Per-query runtime state shared by all operators and segments.
@@ -32,43 +32,30 @@ pub struct ExecContext<'a> {
     /// (scan id, segment) → selected partition OIDs. An entry exists once
     /// the selector has run, even when it selected nothing.
     part_registry: Mutex<HashMap<(PartScanId, SegmentId), BTreeSet<PartOid>>>,
-    /// Legacy init-plan OID-set parameters (`$oidsN` gates). Both drivers
-    /// run every `InitPlanOids` before the main plan, so gates only ever
-    /// see the table complete.
+    /// Legacy init-plan OID-set parameters (`$oidsN` gates). The driver
+    /// publishes every `InitPlanOids` before the main plan runs, so gates
+    /// only ever see the table complete.
     oid_params: Mutex<HashMap<u32, HashSet<PartOid>>>,
     /// Motion materialization cache: stable [`MotionId`] → per-source-
-    /// segment rows. `Arc` so concurrent readers share one materialization.
-    motion_cache: Mutex<HashMap<MotionId, Arc<Vec<Vec<Row>>>>>,
-    /// Block-engine Motion cache: per-source-segment chunk lists. A run
-    /// uses one engine throughout, so the two caches never both fill for
-    /// the same Motion.
-    motion_cache_blocks: Mutex<HashMap<MotionId, Arc<Vec<Vec<RowBlock>>>>>,
-    /// Row-engine Broadcast memo: the child output flattened across
-    /// source segments exactly once per Motion, shared by every
-    /// destination segment instead of each re-walking (and re-collecting)
-    /// the whole cache.
-    broadcast_flat: Mutex<HashMap<MotionId, Arc<Vec<Row>>>>,
-    /// Block-engine Redistribute memo: distribution hashes per chunk (in
-    /// flattened source order), computed once per Motion instead of once
-    /// per destination segment.
+    /// segment chunk lists, filled by the stage driver for both engines
+    /// (a row-engine slice hands its rows over as one chunk). `Arc` so
+    /// concurrent readers share one materialization.
+    motion_cache: Mutex<HashMap<MotionId, Arc<Vec<Vec<RowBlock>>>>>,
+    /// Redistribute memo: distribution hashes per chunk (in flattened
+    /// source order), computed once per Motion instead of once per
+    /// destination segment.
     redist_hashes: Mutex<HashMap<MotionId, Arc<Vec<Vec<u64>>>>>,
     /// Node address → stable id, precomputed from the plan's pre-order
     /// Motion positions. Read-only during execution.
     motion_ids: HashMap<usize, MotionId>,
-    /// Set once the stage driver finishes the init-plan phase: from
-    /// then on a Motion cache miss is a stage-scheduling bug, not an
-    /// occasion to materialize lazily from a worker thread.
-    motions_frozen: AtomicBool,
-    /// Pre-routed Gather output: the stage driver has each task clone
-    /// its own slice output (warm, and concurrent under several
-    /// workers), so the consuming slice on segment 0 can take the
-    /// assembled copy instead of cloning the whole cache serially.
-    /// Take-once: re-executions (e.g. a Motion under a nested-loop inner)
-    /// fall back to cloning from `motion_cache`.
-    preroute: Mutex<HashMap<MotionId, Vec<Row>>>,
-    /// Block-engine pre-routed Gather output (chunk lists concatenated in
-    /// segment order).
-    preroute_blocks: Mutex<HashMap<MotionId, Vec<RowBlock>>>,
+    /// Pre-routed Gather output (chunk lists concatenated in segment
+    /// order): the stage driver has each task clone its own slice output
+    /// (warm, and concurrent under several workers), so the consuming
+    /// slice on segment 0 takes the assembled copy instead of cloning
+    /// the whole cache serially. Take-once: re-executions (e.g. a Motion
+    /// under a nested-loop inner) fall back to routing from
+    /// `motion_cache`.
+    preroute: Mutex<HashMap<MotionId, Vec<RowBlock>>>,
     /// Rows materialized per Motion node.
     per_motion_rows: Mutex<HashMap<MotionId, u64>>,
     motions: AtomicU64,
@@ -110,13 +97,9 @@ impl<'a> ExecContext<'a> {
             part_registry: Mutex::new(HashMap::new()),
             oid_params: Mutex::new(HashMap::new()),
             motion_cache: Mutex::new(HashMap::new()),
-            motion_cache_blocks: Mutex::new(HashMap::new()),
-            broadcast_flat: Mutex::new(HashMap::new()),
             redist_hashes: Mutex::new(HashMap::new()),
             motion_ids: HashMap::new(),
-            motions_frozen: AtomicBool::new(false),
             preroute: Mutex::new(HashMap::new()),
-            preroute_blocks: Mutex::new(HashMap::new()),
             per_motion_rows: Mutex::new(HashMap::new()),
             motions: AtomicU64::new(0),
             seg_stats: (0..num_segments.max(1))
@@ -187,14 +170,6 @@ impl<'a> ExecContext<'a> {
         self.oid_params.lock().insert(param, oids);
     }
 
-    /// Has this init-plan parameter been published already? The
-    /// `InitPlanOids` operator uses this to run exactly once even though
-    /// the driver pre-runs init plans and the node is then visited again
-    /// during the main traversal.
-    pub fn oid_param_published(&self, param: u32) -> bool {
-        self.oid_params.lock().contains_key(&param)
-    }
-
     /// Gate check for a legacy `PartScan`. Init plans run before the main
     /// plan at every worker count, so an absent parameter means the plan never
     /// computes it — an invalid plan, not a timing issue.
@@ -218,43 +193,17 @@ impl<'a> ExecContext<'a> {
             })
     }
 
-    pub(crate) fn motion_cached(&self, id: MotionId) -> Option<Arc<Vec<Vec<Row>>>> {
+    pub(crate) fn motion_cached(&self, id: MotionId) -> Option<Arc<Vec<Vec<RowBlock>>>> {
         self.motion_cache.lock().get(&id).cloned()
     }
 
-    pub(crate) fn motion_store(&self, id: MotionId, per_segment: Arc<Vec<Vec<Row>>>) {
-        self.motion_cache.lock().insert(id, per_segment);
+    pub(crate) fn motion_store(&self, id: MotionId, per_source: Arc<Vec<Vec<RowBlock>>>) {
+        self.motion_cache.lock().insert(id, per_source);
     }
 
-    pub(crate) fn motion_cached_blocks(&self, id: MotionId) -> Option<Arc<Vec<Vec<RowBlock>>>> {
-        self.motion_cache_blocks.lock().get(&id).cloned()
-    }
-
-    pub(crate) fn motion_store_blocks(&self, id: MotionId, per_segment: Arc<Vec<Vec<RowBlock>>>) {
-        self.motion_cache_blocks.lock().insert(id, per_segment);
-    }
-
-    /// Row-engine Broadcast: flatten the materialized child output across
-    /// source segments once per Motion and share the result. Every
-    /// destination segment still receives its own `Vec<Row>` (rows are
-    /// refcounted, so that is pointer copies), but the per-segment walk
-    /// over the whole cache is gone.
-    pub(crate) fn broadcast_flattened(
-        &self,
-        id: MotionId,
-        build: impl FnOnce() -> Vec<Row>,
-    ) -> Arc<Vec<Row>> {
-        Arc::clone(
-            self.broadcast_flat
-                .lock()
-                .entry(id)
-                .or_insert_with(|| Arc::new(build())),
-        )
-    }
-
-    /// Block-engine Redistribute: distribution hashes for every chunk (in
-    /// flattened source order), computed once per Motion and shared by
-    /// all destination segments' routing passes.
+    /// Redistribute: distribution hashes for every chunk (in flattened
+    /// source order), computed once per Motion and shared by all
+    /// destination segments' routing passes.
     pub(crate) fn redistribute_hashes(
         &self,
         id: MotionId,
@@ -270,45 +219,19 @@ impl<'a> ExecContext<'a> {
 
     /// Store a pre-routed copy of a Gather's output for its first
     /// consumption on segment 0.
-    pub(crate) fn preroute_put(&self, id: MotionId, rows: Vec<Row>) {
-        self.preroute.lock().insert(id, rows);
+    pub(crate) fn preroute_put(&self, id: MotionId, chunks: Vec<RowBlock>) {
+        self.preroute.lock().insert(id, chunks);
     }
 
     /// Take the pre-routed copy, if one exists and was not consumed yet.
-    pub(crate) fn preroute_take(&self, id: MotionId) -> Option<Vec<Row>> {
+    pub(crate) fn preroute_take(&self, id: MotionId) -> Option<Vec<RowBlock>> {
         self.preroute.lock().remove(&id)
     }
 
-    /// Block-engine variants of the Gather preroute.
-    pub(crate) fn preroute_blocks_put(&self, id: MotionId, chunks: Vec<RowBlock>) {
-        self.preroute_blocks.lock().insert(id, chunks);
-    }
-
-    pub(crate) fn preroute_blocks_take(&self, id: MotionId) -> Option<Vec<RowBlock>> {
-        self.preroute_blocks.lock().remove(&id)
-    }
-
-    /// After this, a Motion cache miss under staged execution is an
-    /// internal error (the stage driver must have materialized it).
-    pub(crate) fn freeze_motions(&self) {
-        self.motions_frozen.store(true, Ordering::Release);
-    }
-
-    pub(crate) fn motions_frozen(&self) -> bool {
-        self.motions_frozen.load(Ordering::Acquire)
-    }
-
-    /// Record one Motion materialization: a global motion count, rows
-    /// keyed by the stable motion id, and per-source-segment rows-moved
-    /// attribution.
-    pub(crate) fn record_motion(&self, id: MotionId, per_source: &[Vec<Row>]) {
-        let counts: Vec<u64> = per_source.iter().map(|r| r.len() as u64).collect();
-        self.record_motion_counts(id, &counts);
-    }
-
-    /// [`ExecContext::record_motion`] over pre-counted per-source row
-    /// totals — the block engine's chunked payloads record through this.
-    pub(crate) fn record_motion_counts(&self, id: MotionId, per_source: &[u64]) {
+    /// Record one Motion materialization from its per-source-segment row
+    /// counts: a global motion count, rows keyed by the stable motion id,
+    /// and per-source-segment rows-moved attribution.
+    pub(crate) fn record_motion(&self, id: MotionId, per_source: &[u64]) {
         self.motions.fetch_add(1, Ordering::Relaxed);
         let total: u64 = per_source.iter().sum();
         *self.per_motion_rows.lock().entry(id).or_insert(0) += total;
@@ -378,9 +301,7 @@ mod tests {
     fn oid_params_gate() {
         let ctx = ExecContext::new(&[], 1);
         assert!(ctx.oid_param_contains(1, PartOid(5)).is_err());
-        assert!(!ctx.oid_param_published(1));
         ctx.set_oid_param(1, [PartOid(5)].into_iter().collect());
-        assert!(ctx.oid_param_published(1));
         assert!(ctx.oid_param_contains(1, PartOid(5)).unwrap());
         assert!(!ctx.oid_param_contains(1, PartOid(6)).unwrap());
     }

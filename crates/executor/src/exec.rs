@@ -2,9 +2,10 @@
 //!
 //! `exec(plan, segment, …)` evaluates a plan subtree *as seen by one
 //! segment*. Children execute left-to-right (the ordering guarantee the
-//! placement algorithms rely on), and a [`mpp_plan::PhysicalPlan::Motion`]
-//! materializes its child once for **all** segments and hands each target
-//! segment its share.
+//! placement algorithms rely on). A [`mpp_plan::PhysicalPlan::Motion`]
+//! reads its share of a materialization the stage driver made before the
+//! slice above it ran, through the same routine as the block engine,
+//! and flattens those chunks into rows.
 //!
 //! One stage driver runs every query (`morsel::run_stages_stream`): the
 //! plan is cut into slices at Motion boundaries, every Motion stage
@@ -14,9 +15,11 @@
 //! one worker the tasks drain in segment order on the calling thread and
 //! a root Gather streams per segment; with more, stages run on the pool.
 //! Every worker count produces the same rows and the same merged
-//! statistics. Only DML and init plans, which run before the stages are
-//! frozen, let a Motion materialize lazily on first access.
+//! statistics. Init plans and DML target subtrees run through
+//! `morsel::run_subtree_rows`, which materializes their Motion stages
+//! first too: no Motion ever materializes lazily.
 
+use crate::block_exec::{blocks_to_rows, read_motion};
 use crate::context::ExecContext;
 use crate::morsel::{self, SchedConfig};
 use crate::prepared::CompiledCache;
@@ -27,11 +30,10 @@ use mpp_catalog::PartTree;
 use mpp_common::{Datum, Error, PartOid, Result, Row, SegmentId, TableOid};
 use mpp_expr::analysis::{derive_interval_set, DerivedSet};
 use mpp_expr::{collect_columns, CmpOp, ColRef, CompiledExpr, Expr, IntervalSet};
-use mpp_plan::{AggCall, AggFunc, JoinType, MotionKind, PhysicalPlan};
+use mpp_plan::{AggCall, AggFunc, JoinType, PhysicalPlan};
 use mpp_storage::{PhysId, Storage};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Which operator implementations interpret the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -46,7 +48,9 @@ pub enum ExecEngine {
     #[default]
     Batch,
     /// The original row-at-a-time interpreter — the semantic reference
-    /// the batch engine is tested against, and the path DML always takes.
+    /// the batch engine is tested against, and the engine of init plans
+    /// and DML target subtrees, whatever engine the caller asks for. Its
+    /// slices hand their rows to the stage driver as one chunk each.
     Row,
 }
 
@@ -151,21 +155,10 @@ pub(crate) fn run_plan_stream(
     cancel: &CancelToken,
     sink: &mut RowSink<'_>,
 ) -> StreamResult {
-    // DML mutates shared storage from one driver thread; its children
-    // still execute per segment, with Motions materialized lazily, and
-    // never reach the stage driver, so the worker count does not apply.
-    // It always runs the row engine: every mutation path materializes
-    // rows regardless, and the scan-not-observing-its-own-writes
-    // contract is what the row path is tested for.
-    let eff_engine = if is_dml(plan) {
-        ExecEngine::Row
-    } else {
-        engine
-    };
     let ctx = ExecContext::for_plan(plan, params, storage.num_segments())
         .with_compiled_cache(cache)
         .with_cancel(cancel.clone());
-    let result = run_plan_stream_inner(plan, storage, &ctx, eff_engine, sched, sink);
+    let result = run_plan_stream_inner(plan, storage, &ctx, engine, sched, sink);
     let mut stats = ctx.into_stats();
     match result {
         Ok(rows_returned) => {
@@ -197,25 +190,69 @@ fn run_plan_stream_inner(
     // in an identical publication state.
     for init in init_plan_sites(plan) {
         ctx.check_cancel()?;
-        let t0 = Instant::now();
-        exec(init, SegmentId(0), storage, ctx)?;
-        ctx.seg_stats(SegmentId(0)).elapsed += t0.elapsed();
+        publish_init_plan(init, storage, ctx)?;
     }
     if is_dml(plan) {
-        let t0 = Instant::now();
+        // DML mutates shared storage from one driver thread, on the row
+        // engine (`morsel::run_subtree_rows`): every mutation path
+        // materializes rows regardless, so the worker count and the
+        // engine do not apply.
         let rows = exec_dml(plan, storage, ctx)?;
-        ctx.seg_stats(SegmentId(0)).elapsed += t0.elapsed();
         let n = rows.len() as u64;
         if !rows.is_empty() {
             sink(ResultChunk::Rows(rows))?;
         }
         Ok(n)
     } else {
-        // One stage driver for every worker count and both engines: the
-        // plan is cut into slices at Motion boundaries and each stage's
-        // work runs on the morsel scheduler.
         morsel::run_stages_stream(plan, storage, ctx, engine, sched, sink)
     }
+}
+
+/// Run one `InitPlanOids` and publish its OID set. Its subtree runs
+/// through [`morsel::run_subtree_rows`], so the Motions inside it
+/// materialize (and stay cached) before the main plan's stages run.
+fn publish_init_plan(node: &PhysicalPlan, storage: &Storage, ctx: &ExecContext<'_>) -> Result<()> {
+    let PhysicalPlan::InitPlanOids {
+        param,
+        table,
+        key,
+        child,
+    } = node
+    else {
+        return Err(Error::Internal(format!(
+            "init plan site is a {}",
+            node.name()
+        )));
+    };
+    // Borrowed, not `Catalog::part_tree`: that deep-clones the tree.
+    let desc = storage.catalog().table(*table)?;
+    let tree = desc.part_tree()?;
+    // Routing a single key value is only the full partitioning function
+    // for single-level tables; the planner never emits gates for
+    // multi-level ones, so such a plan is invalid rather than silently
+    // mis-routed through the first level alone.
+    if tree.num_levels() != 1 {
+        return Err(Error::InvalidPlan(format!(
+            "InitPlanOids over {table}: legacy OID gating supports only \
+             single-level partitioned tables ({} levels found)",
+            tree.num_levels()
+        )));
+    }
+    let cols = child.output_cols();
+    let key = compiled(key, &cols, ctx);
+    let mut oids: HashSet<PartOid> = HashSet::new();
+    morsel::run_subtree_rows(child, storage, ctx, |rows| {
+        for row in rows {
+            // Single level (checked above), so one value is the whole
+            // routing key.
+            if let Some(oid) = tree.route(std::slice::from_ref(&key.eval(&row)?)) {
+                oids.insert(oid);
+            }
+        }
+        Ok(())
+    })?;
+    ctx.set_oid_param(*param, oids);
+    Ok(())
 }
 
 fn is_dml(plan: &PhysicalPlan) -> bool {
@@ -426,44 +463,9 @@ pub(crate) fn exec(
             hash_agg(group_by, aggs, rows, &cols, seg, ctx)
         }
 
-        PhysicalPlan::Motion { kind, child } => {
-            // The cache is keyed by the node's stable MotionId, not its
-            // address, so re-executions and clones of a plan report
-            // (and cache) under the same key.
-            let id = ctx.motion_id_of(plan)?;
-            if seg == SegmentId(0) && matches!(kind, MotionKind::Gather) {
-                // First consumption of a Gather stage takes the copy the
-                // stage workers pre-assembled (each cloned its own rows,
-                // warm and concurrently). Re-executions — and lazily
-                // materialized Motions, which never pre-route — fall
-                // through to cloning from the cache.
-                if let Some(rows) = ctx.preroute_take(id) {
-                    return Ok(rows);
-                }
-            }
-            let per_source = match ctx.motion_cached(id) {
-                Some(v) => v,
-                None => {
-                    if ctx.motions_frozen() {
-                        // The stage driver materializes every Motion
-                        // before the slices above it run; a miss here is
-                        // a scheduling bug, not a user error.
-                        return Err(Error::Internal(format!(
-                            "staged execution reached {id} before its stage materialized it"
-                        )));
-                    }
-                    let mut v = Vec::with_capacity(storage.num_segments());
-                    for s in storage.segments() {
-                        v.push(exec(child, s, storage, ctx)?);
-                    }
-                    ctx.record_motion(id, &v);
-                    let v = Arc::new(v);
-                    ctx.motion_store(id, v.clone());
-                    v
-                }
-            };
-            route_motion(kind, &per_source, seg, storage, child, ctx, id)
-        }
+        PhysicalPlan::Motion { kind, child } => Ok(blocks_to_rows(&read_motion(
+            plan, kind, child, seg, storage, ctx,
+        )?)),
 
         PhysicalPlan::Append { children, .. } => {
             let mut out = Vec::new();
@@ -473,49 +475,8 @@ pub(crate) fn exec(
             Ok(out)
         }
 
-        PhysicalPlan::InitPlanOids {
-            param,
-            table,
-            key,
-            child,
-        } => {
-            // Init plans run once and publish a global OID set. The
-            // drivers pre-run them before the main plan; when traversal
-            // visits the node again the parameter is already published
-            // and this is a no-op (as it is on every segment but 0).
-            if seg == SegmentId(0) && !ctx.oid_param_published(*param) {
-                // Borrowed, not `Catalog::part_tree`: that deep-clones the tree.
-                let desc = storage.catalog().table(*table)?;
-                let tree = desc.part_tree()?;
-                // Routing a single key value is only the full partitioning
-                // function for single-level tables; the planner never
-                // emits gates for multi-level ones, so such a plan is
-                // invalid rather than silently mis-routed through the
-                // first level alone.
-                if tree.num_levels() != 1 {
-                    return Err(Error::InvalidPlan(format!(
-                        "InitPlanOids over {table}: legacy OID gating supports only \
-                         single-level partitioned tables ({} levels found)",
-                        tree.num_levels()
-                    )));
-                }
-                let cols = child.output_cols();
-                let key = compiled(key, &cols, ctx);
-                let mut oids: HashSet<PartOid> = HashSet::new();
-                for s in storage.segments() {
-                    for row in exec(child, s, storage, ctx)? {
-                        let v = key.eval(&row)?;
-                        // Single level (checked above), so one value is the
-                        // whole routing key.
-                        if let Some(oid) = tree.route(std::slice::from_ref(&v)) {
-                            oids.insert(oid);
-                        }
-                    }
-                }
-                ctx.set_oid_param(*param, oids);
-            }
-            Ok(Vec::new())
-        }
+        // Published by the driver before the main plan runs.
+        PhysicalPlan::InitPlanOids { .. } => Ok(Vec::new()),
 
         PhysicalPlan::Values { rows, .. } => {
             // Literal rows materialize on the master segment only.
@@ -561,65 +522,6 @@ pub(crate) fn exec(
             Err(Error::Execution(
                 "DML must be the plan root (executed via exec_dml)".into(),
             ))
-        }
-    }
-}
-
-/// Motion routing: hand `seg` its share of the materialized child output.
-#[allow(clippy::too_many_arguments)]
-fn route_motion(
-    kind: &MotionKind,
-    per_source: &[Vec<Row>],
-    seg: SegmentId,
-    storage: &Storage,
-    child: &PhysicalPlan,
-    ctx: &ExecContext<'_>,
-    id: mpp_common::MotionId,
-) -> Result<Vec<Row>> {
-    match kind {
-        MotionKind::Gather => {
-            if seg == SegmentId(0) {
-                Ok(per_source.iter().flatten().cloned().collect())
-            } else {
-                Ok(Vec::new())
-            }
-        }
-        MotionKind::GatherOne => {
-            if seg == SegmentId(0) {
-                Ok(per_source.first().cloned().unwrap_or_default())
-            } else {
-                Ok(Vec::new())
-            }
-        }
-        MotionKind::Broadcast => {
-            // Flatten the cache once per Motion and share it: each
-            // destination still gets its own Vec (rows are refcounted),
-            // but not its own walk over every source segment's output.
-            let flat =
-                ctx.broadcast_flattened(id, || per_source.iter().flatten().cloned().collect());
-            Ok((*flat).clone())
-        }
-        MotionKind::Redistribute(cols) => {
-            let child_cols = child.output_cols();
-            let positions: Vec<usize> =
-                cols.iter()
-                    .map(|c| {
-                        child_cols.iter().position(|x| x == c).ok_or_else(|| {
-                            Error::Execution(format!("redistribute column {c} missing"))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-            let n = storage.num_segments() as u64;
-            let mut out = Vec::new();
-            for rows in per_source {
-                for r in rows {
-                    let target = (r.hash_columns(&positions) % n) as u32;
-                    if SegmentId(target) == seg {
-                        out.push(r.clone());
-                    }
-                }
-            }
-            Ok(out)
         }
     }
 }
@@ -1199,9 +1101,10 @@ fn exec_dml(plan: &PhysicalPlan, storage: &Storage, ctx: &ExecContext<'_>) -> Re
     match plan {
         PhysicalPlan::Insert { table, child } => {
             let mut rows = Vec::new();
-            for seg in storage.segments() {
-                rows.extend(exec(child, seg, storage, ctx)?);
-            }
+            morsel::run_subtree_rows(child, storage, ctx, |seg_rows| {
+                rows.extend(seg_rows);
+                Ok(())
+            })?;
             let n = storage.insert(*table, rows)?;
             Ok(vec![Row::new(vec![Datum::Int64(n as i64)])])
         }
@@ -1239,8 +1142,8 @@ fn exec_dml(plan: &PhysicalPlan, storage: &Storage, ctx: &ExecContext<'_>) -> Re
                 .collect::<Result<_>>()?;
             let mut old_rows = Vec::new();
             let mut new_rows = Vec::new();
-            for seg in storage.segments() {
-                for row in exec(child, seg, storage, ctx)? {
+            morsel::run_subtree_rows(child, storage, ctx, |rows| {
+                for row in rows {
                     let old = row.project(&positions);
                     let mut vals: Vec<Datum> = old.values().to_vec();
                     for (idx, e) in &assignments {
@@ -1249,7 +1152,8 @@ fn exec_dml(plan: &PhysicalPlan, storage: &Storage, ctx: &ExecContext<'_>) -> Re
                     old_rows.push(old);
                     new_rows.push(Row::new(vals));
                 }
-            }
+                Ok(())
+            })?;
             let n = old_rows.len();
             delete_rows(*table, old_rows, storage)?;
             // Re-inserting routes updated tuples to their (possibly new)
@@ -1281,11 +1185,10 @@ fn collect_target_rows(
         })
         .collect::<Result<_>>()?;
     let mut out = Vec::new();
-    for seg in storage.segments() {
-        for row in exec(child, seg, storage, ctx)? {
-            out.push(row.project(&positions));
-        }
-    }
+    morsel::run_subtree_rows(child, storage, ctx, |rows| {
+        out.extend(rows.iter().map(|row| row.project(&positions)));
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -1325,6 +1228,7 @@ mod tests {
     use mpp_catalog::builders::range_parts_equal_width;
     use mpp_catalog::{Catalog, Distribution, TableDesc};
     use mpp_common::{row, Column, DataType, PartScanId, Schema};
+    use mpp_plan::MotionKind;
 
     fn cr(id: u32, name: &str) -> ColRef {
         ColRef::new(id, name)

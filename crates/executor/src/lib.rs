@@ -19,7 +19,7 @@
 //!   well as statically.
 //!
 //! One stage driver executes every plan: the plan is cut into slices at
-//! Motion boundaries (see [`slice`]) and each stage's per-segment work
+//! Motion boundaries (see [`slice`](mod@slice)) and each stage's per-segment work
 //! runs as tasks on a work-stealing scheduler. Its worker count
 //! ([`SchedConfig::workers`], one by default) is the only scheduling
 //! decision: one worker interprets every segment's slice in turn on the

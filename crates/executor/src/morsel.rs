@@ -3,16 +3,21 @@
 //! This module is the one stage driver behind every worker count and both
 //! [`ExecEngine`]s: the plan is cut into slices at Motion boundaries
 //! (children before parents), and each stage's work is decomposed into
-//! *tasks* that run on a small work-stealing scheduler ([`run_tasks`]).
-//! The worker count ([`SchedConfig::workers`]) is the only scheduling
-//! decision. With one worker the tasks drain in deque order on the
-//! calling thread — segment-major evaluation order — and a root Gather
-//! streams to the sink per segment (`stream_root`); with more, every
-//! stage, the root included, runs on the pool.
+//! *tasks* that run on a small work-stealing scheduler (`run_tasks`).
+//! Every stage, on either engine, stores its output in the context's one
+//! Motion cache as per-source-segment chunk lists; a row-engine slice
+//! hands its rows over as one chunk. The worker count
+//! ([`SchedConfig::workers`]) is the only scheduling decision. With one
+//! worker the tasks drain in deque order on the calling thread —
+//! segment-major evaluation order — and a root Gather streams to the
+//! sink per segment (`stream_root`); with more, every stage, the root
+//! included, runs on the pool. Init plans and DML target subtrees take
+//! the same stage loop through `run_subtree_rows` (row engine, one
+//! worker) before the main plan runs, and their stages stay cached.
 //!
 //! For the row engine — and for block-engine slices whose shape doesn't
-//! fuse — a task is "one segment's slice", matching the old per-segment
-//! thread model. For block-engine slices of the shape
+//! fuse — a task is "one segment's slice". Only block-engine slices of
+//! the shape
 //!
 //! ```text
 //! (Filter|Project)* [HashAgg] (Filter|Project)*
@@ -20,14 +25,14 @@
 //!      | Sequence[static selectors.., scan])
 //! ```
 //!
-//! the slice is *fused*: each segment's scan output — read through
-//! [`scan_blocks`], the scan arms' own code — is cut into morsels of at
+//! are *fused*: each segment's scan output — read through
+//! `scan_blocks`, the scan arms' own code — is cut into morsels of at
 //! most [`SchedConfig::morsel_rows`] rows (partition × block ranges), and
 //! every morsel runs the filter and project operators below the
 //! aggregation as one task. A skewed partition therefore spreads over all
 //! workers instead of serializing its segment's thread. Aggregation is
 //! not split: once the morsels have run, one task per segment passes the
-//! segment's morsel blocks, in morsel order, to [`hash_agg_blocks`] — the
+//! segment's morsel blocks, in morsel order, to `hash_agg_blocks` — the
 //! `HashAgg` arm itself — and then runs the operators above it.
 //!
 //! ## Determinism
@@ -45,7 +50,7 @@
 //!   into the shared context only when the whole segment succeeds;
 //! * a morsel error — and nothing else — discards the segment's buffered
 //!   state and **re-runs that segment's slice through the unfused
-//!   [`exec_block`] path**, adopting whatever that reference run produces
+//!   `exec_block` path**, adopting whatever that reference run produces
 //!   (rows or error). Row-fallback error *ordering* therefore always
 //!   matches the row engine: the re-run surfaces the row-major-first
 //!   error, regardless of which morsel failed first under stealing. An
@@ -58,12 +63,12 @@
 //! are never double-counted.
 
 use crate::block_exec::{
-    exec_block, filter_block_core, hash_agg_blocks, project_block_core, scan_blocks,
+    exec_block, filter_block_core, hash_agg_blocks, project_block_core, rows_to_chunks, scan_blocks,
 };
 use crate::context::ExecContext;
 use crate::exec::{compiled, exec, ExecEngine};
 use crate::pool;
-use crate::slice::SlicePlan;
+use crate::slice::{MotionSite, SlicePlan};
 use crate::stats::SegmentStats;
 use crate::stream::{ResultChunk, RowSink};
 use mpp_common::{Error, MotionId, Result, Row, RowBlock, SegmentId};
@@ -174,11 +179,10 @@ where
         .collect()
 }
 
-/// The unified stage driver: materialize every Motion stage in
+/// The stage driver: materialize every Motion stage in
 /// children-before-parents order, then run the root slice, emitting its
 /// output through `sink` chunk by chunk. Every worker count and both
-/// engines route through here, so Motions always materialize eagerly
-/// stage by stage. Returns the number of rows emitted.
+/// engines route through here. Returns the number of rows emitted.
 pub(crate) fn run_stages_stream(
     plan: &PhysicalPlan,
     storage: &Storage,
@@ -187,20 +191,96 @@ pub(crate) fn run_stages_stream(
     sched: &SchedConfig,
     sink: &mut RowSink<'_>,
 ) -> Result<u64> {
-    let slices = SlicePlan::cut(plan);
-    // From here on every Motion a task reads must come from a stage (or
-    // from the init-plan phase, whose subtree Motions are already cached
-    // and whose stages are skipped below).
-    ctx.freeze_motions();
-    let segs: Vec<SegmentId> = storage.segments().collect();
-    if segs.is_empty() {
+    let st = Stages {
+        storage,
+        ctx,
+        engine,
+        workers: sched.workers.unwrap_or(1).max(1),
+        segs: storage.segments().collect(),
+        sched,
+    };
+    if st.segs.is_empty() {
         return Ok(0);
     }
-    let workers = sched.workers.unwrap_or(1).max(1);
-    match engine {
-        ExecEngine::Row => run_stages_rows(&slices, storage, ctx, workers, &segs, sink),
-        ExecEngine::Batch => run_stages_blocks(&slices, storage, ctx, workers, &segs, sched, sink),
+    let slices = SlicePlan::cut(plan);
+    let streamed = stream_root(&slices, ctx, st.workers);
+    st.materialize(&slices.stages, streamed.map(|(id, _)| id))?;
+    ctx.check_cancel()?;
+    if let Some((id, child)) = streamed {
+        // Analyze once; the fused driver then runs one segment at a time
+        // so chunks stream out as each segment completes. Single-segment
+        // invocations produce the same morsel decomposition, fold order
+        // and stats as one all-segments invocation — only the scheduling
+        // envelope shrinks.
+        let fused = st.fuse(child);
+        let mut counts = Vec::with_capacity(st.segs.len());
+        for &seg in &st.segs {
+            ctx.check_cancel()?;
+            let chunks = match &fused {
+                Some(f) => run_fused(f, &st, &[seg], false)?
+                    .0
+                    .pop()
+                    .unwrap_or_default(),
+                None => st.run_on(child, seg)?,
+            };
+            counts.push(emit(chunks, ctx, sink)?);
+        }
+        // Recorded only once the whole Gather succeeded — the staged
+        // path's stats carry no trace of a failed materialization either.
+        ctx.record_motion(id, &counts);
+        return Ok(counts.iter().sum());
     }
+    let (per_segment, _) = st.run_slice(slices.root, false)?;
+    let mut total = 0u64;
+    for chunks in per_segment {
+        total += emit(chunks, ctx, sink)?;
+    }
+    Ok(total)
+}
+
+/// The driver for DML targets and init plans: materialize the Motion
+/// stages inside `node` on the row engine with one worker, then run
+/// `node` itself on every segment in segment order, handing each
+/// segment's rows to `f` before the next segment runs. The stages stay
+/// cached, so the main plan's stage loop skips them.
+pub(crate) fn run_subtree_rows(
+    node: &PhysicalPlan,
+    storage: &Storage,
+    ctx: &ExecContext<'_>,
+    mut f: impl FnMut(Vec<Row>) -> Result<()>,
+) -> Result<()> {
+    let st = Stages {
+        storage,
+        ctx,
+        engine: ExecEngine::Row,
+        workers: 1,
+        segs: storage.segments().collect(),
+        sched: &SchedConfig::default(),
+    };
+    st.materialize(&SlicePlan::cut(node).stages, None)?;
+    for &seg in &st.segs {
+        let t0 = Instant::now();
+        let rows = exec(node, seg, storage, ctx);
+        ctx.seg_stats(seg).elapsed += t0.elapsed();
+        f(rows?)?;
+    }
+    Ok(())
+}
+
+/// Push one segment's chunks into `sink`, returning the rows pushed. A
+/// cancel check per block, not just per segment: a Cancel frame arriving
+/// while a big segment result drains to a network sink must stop at the
+/// next block boundary.
+fn emit(chunks: Vec<RowBlock>, ctx: &ExecContext<'_>, sink: &mut RowSink<'_>) -> Result<u64> {
+    let mut n = 0u64;
+    for b in chunks {
+        if !b.is_empty() {
+            n += b.len() as u64;
+            ctx.check_cancel()?;
+            sink(ResultChunk::Block(b))?;
+        }
+    }
+    Ok(n)
 }
 
 /// The incremental-delivery fast path: when the plan root is an uncached
@@ -211,9 +291,9 @@ pub(crate) fn run_stages_stream(
 ///
 /// This is observable-behavior-identical to the staged path: Gather
 /// consumption on segment 0 records no stats (it takes the preroute
-/// copy), the single `record_motion_counts` still happens exactly once
-/// after *all* segments succeeded, rows arrive in segment order, and the
-/// first error in segment order wins either way.
+/// copy), the single `record_motion` still happens exactly once after
+/// *all* segments succeeded, rows arrive in segment order, and the first
+/// error in segment order wins either way.
 fn stream_root<'p>(
     slices: &SlicePlan<'p>,
     ctx: &ExecContext<'_>,
@@ -232,211 +312,102 @@ fn stream_root<'p>(
             let id = ctx.motion_id_of(slices.root).ok()?;
             // An init-plan phase may have materialized this Motion
             // already; consuming the cache is then the correct path.
-            if ctx.motion_cached(id).is_none() && ctx.motion_cached_blocks(id).is_none() {
-                Some((id, child.as_ref()))
-            } else {
-                None
-            }
+            ctx.motion_cached(id)
+                .is_none()
+                .then_some((id, child.as_ref()))
         }
         _ => None,
     }
 }
 
-fn run_stages_rows(
-    slices: &SlicePlan<'_>,
-    storage: &Storage,
-    ctx: &ExecContext<'_>,
+/// What every stage of one run shares: the engine, the scheduler and the
+/// segments. A task is one segment's slice (or, for a fused block-engine
+/// slice, one morsel).
+struct Stages<'a, 'c> {
+    storage: &'a Storage,
+    ctx: &'a ExecContext<'c>,
+    engine: ExecEngine,
     workers: usize,
-    segs: &[SegmentId],
-    sink: &mut RowSink<'_>,
-) -> Result<u64> {
-    // One task per segment; with `preroute` set (Gather stages) each task
-    // clones its own output while the rows are warm, concatenated in
-    // segment order — byte-identical to what `route_motion` assembles.
-    let run_slice = |node: &PhysicalPlan, preroute: bool| -> Result<(Vec<Vec<Row>>, Vec<Row>)> {
-        let pairs = run_per_segment(workers, segs, |seg| {
-            let t0 = Instant::now();
-            let res = exec(node, seg, storage, ctx);
-            ctx.seg_stats(seg).elapsed += t0.elapsed();
-            res.map(|rows| {
-                let copy = if preroute { rows.clone() } else { Vec::new() };
-                (rows, copy)
+    segs: Vec<SegmentId>,
+    sched: &'a SchedConfig,
+}
+
+impl Stages<'_, '_> {
+    /// One segment's unfused slice output: the block engine's chunks, or
+    /// the row engine's rows as one chunk.
+    fn run_on(&self, node: &PhysicalPlan, seg: SegmentId) -> Result<Vec<RowBlock>> {
+        let t0 = Instant::now();
+        let res = match self.engine {
+            ExecEngine::Batch => exec_block(node, seg, self.storage, self.ctx),
+            ExecEngine::Row => exec(node, seg, self.storage, self.ctx).map(|rows| {
+                let width = rows.first().map_or(0, Row::len);
+                rows_to_chunks(rows, width)
+            }),
+        };
+        self.ctx.seg_stats(seg).elapsed += t0.elapsed();
+        res
+    }
+
+    /// `node` as a fused slice, when the block engine runs and the shape
+    /// fuses. Only the block engine fuses.
+    fn fuse<'p>(&self, node: &'p PhysicalPlan) -> Option<FusedSlice<'p>> {
+        match self.engine {
+            ExecEngine::Batch => FusedSlice::analyze(node, self.ctx),
+            ExecEngine::Row => None,
+        }
+    }
+
+    /// Run `node` on every segment: the per-segment chunk lists and, with
+    /// `preroute` set (Gather stages), their concatenation in segment
+    /// order — each task clones its own output while it is warm.
+    fn run_slice(
+        &self,
+        node: &PhysicalPlan,
+        preroute: bool,
+    ) -> Result<(Vec<Vec<RowBlock>>, Vec<RowBlock>)> {
+        if let Some(fused) = self.fuse(node) {
+            return run_fused(&fused, self, &self.segs, preroute);
+        }
+        let pairs = run_per_segment(self.workers, &self.segs, |seg| {
+            self.run_on(node, seg).map(|chunks| {
+                let copy = if preroute { chunks.clone() } else { Vec::new() };
+                (chunks, copy)
             })
         })?;
         let mut per_source = Vec::with_capacity(pairs.len());
         let mut routed = Vec::new();
-        for (rows, copy) in pairs {
-            per_source.push(rows);
+        for (chunks, copy) in pairs {
+            per_source.push(chunks);
             routed.extend(copy);
         }
         Ok((per_source, routed))
-    };
+    }
 
-    let streamed = stream_root(slices, ctx, workers);
-    for site in &slices.stages {
-        ctx.check_cancel()?;
-        let id = ctx.motion_id_of(site.node)?;
-        if matches!(streamed, Some((sid, _)) if sid == id) {
-            // The root Gather streams; its child runs below, per segment.
-            continue;
-        }
-        if ctx.motion_cached(id).is_some() {
-            continue;
-        }
-        let preroute = matches!(site.kind, MotionKind::Gather);
-        let (per_source, routed) = run_slice(site.child, preroute)?;
-        ctx.record_motion(id, &per_source);
-        ctx.motion_store(id, Arc::new(per_source));
-        if preroute {
-            ctx.preroute_put(id, routed);
-        }
-    }
-    ctx.check_cancel()?;
-    if let Some((id, child)) = streamed {
-        let mut counts = Vec::with_capacity(segs.len());
-        let mut total = 0u64;
-        for &seg in segs {
-            ctx.check_cancel()?;
-            let t0 = Instant::now();
-            let res = exec(child, seg, storage, ctx);
-            ctx.seg_stats(seg).elapsed += t0.elapsed();
-            let rows = res?;
-            counts.push(rows.len() as u64);
-            total += rows.len() as u64;
-            if !rows.is_empty() {
-                ctx.check_cancel()?;
-                sink(ResultChunk::Rows(rows))?;
+    /// Materialize every stage not cached yet, in order, except `skip`
+    /// (a root Gather that streams instead). A cached stage was
+    /// materialized by an init plan or a DML target subtree
+    /// ([`run_subtree_rows`]); running it again would count it twice.
+    fn materialize(&self, stages: &[MotionSite<'_>], skip: Option<MotionId>) -> Result<()> {
+        for site in stages {
+            self.ctx.check_cancel()?;
+            let id = self.ctx.motion_id_of(site.node)?;
+            if skip == Some(id) || self.ctx.motion_cached(id).is_some() {
+                continue;
+            }
+            let preroute = matches!(site.kind, MotionKind::Gather);
+            let (per_source, routed) = self.run_slice(site.child, preroute)?;
+            let counts: Vec<u64> = per_source
+                .iter()
+                .map(|chunks| chunks.iter().map(|b| b.len() as u64).sum())
+                .collect();
+            self.ctx.record_motion(id, &counts);
+            self.ctx.motion_store(id, Arc::new(per_source));
+            if preroute {
+                self.ctx.preroute_put(id, routed);
             }
         }
-        // Recorded only once the whole Gather succeeded — the staged
-        // path's stats carry no trace of a failed materialization either.
-        ctx.record_motion_counts(id, &counts);
-        return Ok(total);
+        Ok(())
     }
-    let (per_segment, _) = run_slice(slices.root, false)?;
-    let mut total = 0u64;
-    for rows in per_segment {
-        total += rows.len() as u64;
-        if !rows.is_empty() {
-            ctx.check_cancel()?;
-            sink(ResultChunk::Rows(rows))?;
-        }
-    }
-    Ok(total)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_stages_blocks(
-    slices: &SlicePlan<'_>,
-    storage: &Storage,
-    ctx: &ExecContext<'_>,
-    workers: usize,
-    segs: &[SegmentId],
-    sched: &SchedConfig,
-    sink: &mut RowSink<'_>,
-) -> Result<u64> {
-    let run_slice =
-        |node: &PhysicalPlan, preroute: bool| -> Result<(Vec<Vec<RowBlock>>, Vec<RowBlock>)> {
-            if let Some(fused) = FusedSlice::analyze(node, ctx) {
-                return run_fused(&fused, storage, ctx, workers, segs, sched, preroute);
-            }
-            let pairs = run_per_segment(workers, segs, |seg| {
-                let t0 = Instant::now();
-                let res = exec_block(node, seg, storage, ctx);
-                ctx.seg_stats(seg).elapsed += t0.elapsed();
-                res.map(|chunks| {
-                    let copy = if preroute { chunks.clone() } else { Vec::new() };
-                    (chunks, copy)
-                })
-            })?;
-            let mut per_source = Vec::with_capacity(pairs.len());
-            let mut routed = Vec::new();
-            for (chunks, copy) in pairs {
-                per_source.push(chunks);
-                routed.extend(copy);
-            }
-            Ok((per_source, routed))
-        };
-
-    let streamed = stream_root(slices, ctx, workers);
-    for site in &slices.stages {
-        ctx.check_cancel()?;
-        let id = ctx.motion_id_of(site.node)?;
-        if matches!(streamed, Some((sid, _)) if sid == id) {
-            // The root Gather streams; its child runs below, per segment.
-            continue;
-        }
-        // Skip stages already materialized — by an earlier stage, or by
-        // the init-plan phase (init subtrees run the row engine and cache
-        // rows; their Motions are never consumed by the main traversal).
-        if ctx.motion_cached_blocks(id).is_some() || ctx.motion_cached(id).is_some() {
-            continue;
-        }
-        let preroute = matches!(site.kind, MotionKind::Gather);
-        let (per_source, routed) = run_slice(site.child, preroute)?;
-        let counts: Vec<u64> = per_source
-            .iter()
-            .map(|chunks| chunks.iter().map(|b| b.len() as u64).sum())
-            .collect();
-        ctx.record_motion_counts(id, &counts);
-        ctx.motion_store_blocks(id, Arc::new(per_source));
-        if preroute {
-            ctx.preroute_blocks_put(id, routed);
-        }
-    }
-    ctx.check_cancel()?;
-    if let Some((id, child)) = streamed {
-        // Analyze once; the fused driver then runs one segment at a time
-        // so chunks stream out as each segment completes. Single-segment
-        // invocations produce the same morsel decomposition, fold order
-        // and stats as one all-segments invocation — only the scheduling
-        // envelope shrinks.
-        let fused = FusedSlice::analyze(child, ctx);
-        let mut counts = Vec::with_capacity(segs.len());
-        let mut total = 0u64;
-        for &seg in segs {
-            ctx.check_cancel()?;
-            let chunks = match &fused {
-                Some(f) => {
-                    let (mut per_source, _) =
-                        run_fused(f, storage, ctx, workers, &[seg], sched, false)?;
-                    per_source.pop().unwrap_or_default()
-                }
-                None => {
-                    let t0 = Instant::now();
-                    let res = exec_block(child, seg, storage, ctx);
-                    ctx.seg_stats(seg).elapsed += t0.elapsed();
-                    res?
-                }
-            };
-            let rows: u64 = chunks.iter().map(|b| b.len() as u64).sum();
-            counts.push(rows);
-            total += rows;
-            // A cancel check per block, not just per segment: a Cancel
-            // frame arriving while a big segment result drains to a
-            // network sink must stop at the next block boundary.
-            for b in chunks {
-                if !b.is_empty() {
-                    ctx.check_cancel()?;
-                    sink(ResultChunk::Block(b))?;
-                }
-            }
-        }
-        ctx.record_motion_counts(id, &counts);
-        return Ok(total);
-    }
-    let (per_segment, _) = run_slice(slices.root, false)?;
-    let mut total = 0u64;
-    for chunks in per_segment {
-        for b in chunks {
-            total += b.len() as u64;
-            if !b.is_empty() {
-                ctx.check_cancel()?;
-                sink(ResultChunk::Block(b))?;
-            }
-        }
-    }
-    Ok(total)
 }
 
 // ---------------------------------------------------------------------
@@ -659,18 +630,21 @@ fn apply_ops(
     Ok(chunks)
 }
 
-/// Drive one fused slice: selectors, scans, morsel tasks, then per
-/// segment the aggregation fold and the operators above it.
-#[allow(clippy::too_many_arguments)]
+/// Drive one fused slice on `segs`: selectors, scans, morsel tasks,
+/// then per segment the aggregation fold and the operators above it.
 fn run_fused(
     fused: &FusedSlice<'_>,
-    storage: &Storage,
-    ctx: &ExecContext<'_>,
-    workers: usize,
+    st: &Stages<'_, '_>,
     segs: &[SegmentId],
-    sched: &SchedConfig,
     preroute: bool,
 ) -> Result<(Vec<Vec<RowBlock>>, Vec<RowBlock>)> {
+    let Stages {
+        storage,
+        ctx,
+        workers,
+        sched,
+        ..
+    } = *st;
     let n_segs = segs.len();
     let mut seg_errs: Vec<Option<Error>> = Vec::with_capacity(n_segs);
     seg_errs.resize_with(n_segs, || None);

@@ -9,9 +9,12 @@
 //! before parents so a stage only consumes Motions that earlier stages
 //! already materialized; the slice above the topmost Motions runs last
 //! as the *root slice*. Init plans ([`init_plan_sites`]) execute before
-//! any stage, the way classic planners run init plans before the main
-//! plan — which is what lets a gated scan below a Motion read a
-//! parameter its `InitPlanOids` sibling publishes from the root slice.
+//! any stage, innermost first, the way classic planners run init plans
+//! before the main plan — which is what lets a gated scan below a Motion
+//! read a parameter its `InitPlanOids` sibling publishes from the root
+//! slice. The Motions inside an init plan are stages too: the driver
+//! materializes them with the init plan, and the main plan's stage loop
+//! finds them cached.
 
 use mpp_common::MotionId;
 use mpp_plan::{MotionKind, PhysicalPlan};
@@ -74,17 +77,19 @@ impl<'a> SlicePlan<'a> {
     }
 }
 
-/// Every `InitPlanOids` node in the plan, in pre-order. The drivers run
+/// Every `InitPlanOids` node in the plan, in post-order. The driver runs
 /// these once, before the main plan, so every `$oids` parameter is
 /// published before any slice that might read it executes — regardless
-/// of where in the tree the planner placed the node.
+/// of where in the tree the planner placed the node. Post-order publishes
+/// a nested init plan before the init plan that encloses it, whose
+/// subtree may read it.
 pub fn init_plan_sites(plan: &PhysicalPlan) -> Vec<&PhysicalPlan> {
     fn walk<'a>(node: &'a PhysicalPlan, out: &mut Vec<&'a PhysicalPlan>) {
-        if matches!(node, PhysicalPlan::InitPlanOids { .. }) {
-            out.push(node);
-        }
         for c in node.children() {
             walk(c, out);
+        }
+        if matches!(node, PhysicalPlan::InitPlanOids { .. }) {
+            out.push(node);
         }
     }
     let mut out = Vec::new();
@@ -140,22 +145,23 @@ mod tests {
         assert_eq!(slices.num_slices(), 1);
     }
 
+    fn init_plan(param: u32, child: PhysicalPlan) -> PhysicalPlan {
+        PhysicalPlan::InitPlanOids {
+            param,
+            table: TableOid(1),
+            key: mpp_expr::Expr::Lit(mpp_common::Datum::Int64(0)),
+            child: Box::new(child),
+        }
+    }
+
     #[test]
     fn init_plan_sites_found_at_any_depth() {
         let plan = motion(PhysicalPlan::Sequence {
             children: vec![
-                PhysicalPlan::InitPlanOids {
-                    param: 1,
-                    table: TableOid(1),
-                    key: mpp_expr::Expr::Lit(mpp_common::Datum::Int64(0)),
-                    child: Box::new(leaf(9, None)),
-                },
-                motion(PhysicalPlan::InitPlanOids {
-                    param: 2,
-                    table: TableOid(1),
-                    key: mpp_expr::Expr::Lit(mpp_common::Datum::Int64(0)),
-                    child: Box::new(leaf(8, None)),
-                }),
+                init_plan(1, leaf(9, None)),
+                motion(init_plan(2, leaf(8, None))),
+                // A nested init plan publishes before the one enclosing it.
+                init_plan(3, init_plan(4, leaf(7, None))),
                 leaf(1, Some(1)),
             ],
         });
@@ -167,6 +173,6 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(params, vec![1, 2]);
+        assert_eq!(params, vec![1, 2, 4, 3]);
     }
 }

@@ -89,8 +89,10 @@ impl CancelToken {
     }
 }
 
-/// One incremental unit of query output: the row engine emits row
-/// vectors (one per segment), the block engine emits `RowBlock` chunks.
+/// One incremental unit of query output. Query results arrive as
+/// `RowBlock` chunks on both engines (a row-engine slice's output is one
+/// chunk per segment); only a DML statement's affected-row count and
+/// `EXPLAIN` text arrive as rows.
 #[derive(Debug, Clone)]
 pub enum ResultChunk {
     Rows(Vec<Row>),

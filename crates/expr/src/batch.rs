@@ -19,7 +19,7 @@
 //! row-at-a-time path may never reach. The batch evaluator therefore:
 //!
 //! 1. evaluates *provably error-free* predicate trees as word-packed
-//!    **dual bitmaps** ([`Mask3`]): a value mask and a valid mask encode
+//!    **dual bitmaps** (`Mask3`): a value mask and a valid mask encode
 //!    the three truth values, leaves run branch-free typed loops over all
 //!    physical rows (NULL slots hold dummy values and are masked by the
 //!    column's validity bitmap), and `AND`/`OR`/`NOT`/`IS NULL` compose

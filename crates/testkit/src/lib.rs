@@ -23,7 +23,7 @@
 //!   partition-elimination *soundness* (`parts_scanned` ⊇ partitions with
 //!   qualifying rows) and, for exactly-analyzable static filters,
 //!   *minimality* against an independent f*_T bound.
-//! - [`shrink`] — a delta-debugging minimizer that reduces a failing case
+//! - [`shrink`](mod@shrink) — a delta-debugging minimizer that reduces a failing case
 //!   to a small reproducer, persisted by [`corpus`] under
 //!   `testkit/corpus/` and replayed forever after.
 //!

@@ -2,7 +2,7 @@
 //!
 //! Every table is a flat `Vec<Row>`; queries interpret the **same bound
 //! [`LogicalPlan`]** the real planners consume, with the tree-walking
-//! expression interpreter ([`mpp_expr::eval`]) — no partitions, no
+//! expression interpreter ([`mpp_expr::eval`](fn@mpp_expr::eval)) — no partitions, no
 //! motions, no compiled expressions, no vectorization. That makes it an
 //! independent ground truth for the compiled/vectorized/distributed
 //! engines under test.

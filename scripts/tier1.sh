@@ -7,6 +7,8 @@
 #   clippy      lints with warnings denied (first-party crates only;
 #               vendor/ stubs are workspace-excluded)
 #   fmt         rustfmt --check
+#   doc         rustdoc with warnings denied (broken, ambiguous or
+#               private intra-doc links fail the gate)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,5 +23,8 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 
 echo "== tier1: cargo fmt --check =="
 cargo fmt --all --check
+
+echo "== tier1: cargo doc -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== tier1: OK =="

@@ -3,12 +3,12 @@
 //! and the legacy planner's pair-expanded DML plans compute the same
 //! effects.
 
-use mppart::common::Datum;
+use mppart::common::{Datum, Row};
 use mppart::testing::{setup_orders, sorted};
 use mppart::workloads::{setup_rs, SynthConfig};
-use mppart::MppDb;
+use mppart::{MppDb, Planner, SchedConfig};
 
-fn table_rows(db: &MppDb, name: &str) -> Vec<mppart::common::Row> {
+fn table_rows(db: &MppDb, name: &str) -> Vec<Row> {
     let desc = db.catalog().table_by_name(name).unwrap();
     let mut out = Vec::new();
     for phys in db.storage().physical_tables(desc.oid).unwrap() {
@@ -209,4 +209,68 @@ fn insert_column_subset_defaults_to_null() {
     // partition is rejected.
     let err = db.sql("INSERT INTO r (a) VALUES (1)").unwrap_err();
     assert_eq!(err.kind(), "no_matching_partition");
+}
+
+/// DML whose target rows come through a Motion: the join is on `b`, not
+/// the distribution key `a`. The Motion stages inside the statement
+/// materialize once, before its rows are collected, with the same effects
+/// at every worker count and under both planners.
+#[test]
+fn dml_with_a_motion_below_agrees_across_planners_and_workers() {
+    let build = |workers| {
+        let db = MppDb::new(4).with_sched_config(SchedConfig::with_workers(workers));
+        db.sql(
+            "CREATE TABLE r (a int NOT NULL, b int NOT NULL) DISTRIBUTED BY (a) \
+             PARTITION BY RANGE (b) (START (0) END (100) EVERY (10))",
+        )
+        .unwrap();
+        db.sql("CREATE TABLE s (a int NOT NULL, b int NOT NULL) DISTRIBUTED BY (a)")
+            .unwrap();
+        let r: Vec<String> = (0..200).map(|i| format!("({i}, {})", i % 100)).collect();
+        db.sql(&format!("INSERT INTO r VALUES {}", r.join(", ")))
+            .unwrap();
+        // 7 is prime to 100, so s.b is unique: each r row matches at most
+        // one s row.
+        let s: Vec<String> = (0..50).map(|i| format!("({i}, {})", i * 7 % 100)).collect();
+        db.sql(&format!("INSERT INTO s VALUES {}", s.join(", ")))
+            .unwrap();
+        db
+    };
+    let statements = [
+        "UPDATE r SET a = r.a + 1000 FROM s WHERE r.b = s.b AND s.a < 30",
+        "DELETE FROM r USING s WHERE r.b = s.b AND s.a > 40",
+    ];
+    let mut per_planner = Vec::new();
+    for planner in [Planner::Orca, Planner::Legacy] {
+        let runs: Vec<_> = [1, 4]
+            .into_iter()
+            .map(|workers| {
+                let db = build(workers);
+                let effects: Vec<_> = statements
+                    .iter()
+                    .map(|sql| {
+                        let out = db.run_sql(sql, &[], planner).unwrap();
+                        let motions = out.plan.count_op("Motion") as u64;
+                        assert!(motions > 0, "{planner:?}: no Motion below `{sql}`");
+                        assert_eq!(
+                            out.stats.motions, motions,
+                            "{planner:?} w={workers}: `{sql}`"
+                        );
+                        (out.rows, motions, out.stats.rows_moved)
+                    })
+                    .collect();
+                (effects, table_rows(&db, "r"))
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "{planner:?}: 1 vs 4 workers");
+        per_planner.push(runs.into_iter().next().unwrap());
+    }
+    // b = i % 100 puts two r rows on every s.b value: 30 s rows match 60
+    // r rows, 9 match 18.
+    for (effects, _) in &per_planner {
+        let counts: Vec<&Vec<Row>> = effects.iter().map(|(rows, ..)| rows).collect();
+        let want = [60, 18].map(|n| vec![Row::new(vec![Datum::Int64(n)])]);
+        assert_eq!(counts, want.iter().collect::<Vec<_>>());
+    }
+    assert_eq!(per_planner[0].1, per_planner[1].1, "final contents differ");
 }

@@ -2,9 +2,11 @@
 //! out, across the simulated MPP cluster.
 
 use mppart::common::{Datum, Row};
+use mppart::executor::execute_with_params_sched;
+use mppart::plan::PhysicalPlan;
 use mppart::testing::{approx_same_bag, setup_orders, setup_orders_multilevel, sorted};
 use mppart::workloads::{setup_tpcds, tpcds_workload, TpcdsConfig};
-use mppart::MppDb;
+use mppart::{ExecEngine, MppDb, SchedConfig};
 
 /// Paper Figure 2: a constant date range over monthly partitions must
 /// scan only the last quarter's three partitions.
@@ -218,6 +220,52 @@ fn full_workload_runs_and_matches_legacy() {
             q.name
         );
     }
+}
+
+/// Every Motion materializes exactly once per statement — the ones inside
+/// Legacy init plans included, which run before the main plan's stages
+/// and must not run again in them — at every worker count on both
+/// engines.
+#[test]
+fn every_motion_materializes_once_per_statement() {
+    let db = MppDb::new(4);
+    setup_tpcds(db.storage(), &TpcdsConfig::default()).unwrap();
+    let (mut init_plans, mut init_plans_with_motion) = (0, Vec::new());
+    for q in tpcds_workload() {
+        let plan = db.plan_legacy(q.sql).unwrap();
+        plan.visit(&mut |node| {
+            if let PhysicalPlan::InitPlanOids { child, .. } = node {
+                init_plans += 1;
+                if child.count_op("Motion") > 0 {
+                    init_plans_with_motion.push(q.name);
+                }
+            }
+        });
+        let runs: Vec<_> = [ExecEngine::Row, ExecEngine::Batch]
+            .into_iter()
+            .flat_map(|engine| [1, 4].map(|workers| (engine, workers)))
+            .map(|(engine, workers)| {
+                let sched = SchedConfig::with_workers(workers);
+                let res = execute_with_params_sched(db.storage(), &plan, &q.params, engine, &sched)
+                    .unwrap_or_else(|e| panic!("{} {engine:?} w={workers}: {e}", q.name));
+                assert_eq!(
+                    res.stats.motions,
+                    plan.count_op("Motion") as u64,
+                    "{} {engine:?} w={workers}",
+                    q.name
+                );
+                (sorted(res.rows), res.stats.rows_moved)
+            })
+            .collect();
+        for run in &runs[1..] {
+            assert_eq!(run, &runs[0], "{}: rows or rows_moved differ", q.name);
+        }
+    }
+    assert_eq!(init_plans, 6);
+    assert_eq!(
+        init_plans_with_motion,
+        ["q18_ss_three_way", "q19_ws_three_way"]
+    );
 }
 
 /// Grouped aggregation over a partitioned fact joins up correctly across
