@@ -62,9 +62,11 @@ pub struct ExecContext<'a> {
     /// One slot per segment; a worker only locks the slot of the segment
     /// it runs, so contention is nil.
     seg_stats: Vec<Mutex<SegmentStats>>,
-    /// Compiled-expression template cache of a [`crate::prepared::PreparedPlan`]
-    /// execution; `None` for ad-hoc plans (compile per slice, as before).
-    compiled_cache: Option<&'a CompiledCache>,
+    /// Compiled-expression templates for the nodes of the plan this
+    /// context runs: a [`crate::prepared::PreparedPlan`]'s own cache, or a
+    /// fresh one for a single execution. Every expression site lowers
+    /// through it.
+    compiled_cache: &'a CompiledCache,
     /// Cooperative cancellation, checked at block boundaries (per stage,
     /// per segment, per partition scanned). A fresh token never trips, so
     /// the collecting entry points pay only an uncontended atomic load.
@@ -72,10 +74,12 @@ pub struct ExecContext<'a> {
 }
 
 impl<'a> ExecContext<'a> {
-    /// Context for executing `plan`: precomputes the Motion-id overlay.
+    /// Context for executing `plan`, whose expressions lower through
+    /// `cache`: precomputes the Motion-id overlay.
     pub fn for_plan(
         plan: &PhysicalPlan,
         params: &'a [Datum],
+        cache: &'a CompiledCache,
         num_segments: usize,
     ) -> ExecContext<'a> {
         let motion_ids = plan
@@ -85,13 +89,17 @@ impl<'a> ExecContext<'a> {
             .collect();
         ExecContext {
             motion_ids,
-            ..ExecContext::new(params, num_segments)
+            ..ExecContext::new(params, cache, num_segments)
         }
     }
 
     /// Bare context with no plan overlay — for unit tests of the
     /// registry itself.
-    pub fn new(params: &'a [Datum], num_segments: usize) -> ExecContext<'a> {
+    pub fn new(
+        params: &'a [Datum],
+        cache: &'a CompiledCache,
+        num_segments: usize,
+    ) -> ExecContext<'a> {
         ExecContext {
             params,
             part_registry: Mutex::new(HashMap::new()),
@@ -105,15 +113,9 @@ impl<'a> ExecContext<'a> {
             seg_stats: (0..num_segments.max(1))
                 .map(|_| Mutex::new(SegmentStats::default()))
                 .collect(),
-            compiled_cache: None,
+            compiled_cache: cache,
             cancel: CancelToken::new(),
         }
-    }
-
-    /// Attach a prepared plan's template cache to this execution.
-    pub(crate) fn with_compiled_cache(mut self, cache: Option<&'a CompiledCache>) -> Self {
-        self.compiled_cache = cache;
-        self
     }
 
     /// Attach a cancellation token to this execution.
@@ -128,7 +130,7 @@ impl<'a> ExecContext<'a> {
         self.cancel.check()
     }
 
-    pub(crate) fn compiled_cache(&self) -> Option<&'a CompiledCache> {
+    pub(crate) fn compiled_cache(&self) -> &'a CompiledCache {
         self.compiled_cache
     }
 
@@ -265,7 +267,8 @@ mod tests {
 
     #[test]
     fn propagation_is_per_segment() {
-        let ctx = ExecContext::new(&[], 2);
+        let cache = CompiledCache::new();
+        let ctx = ExecContext::new(&[], &cache, 2);
         ctx.propagate_parts(PartScanId(1), SegmentId(0), [PartOid(5)]);
         assert_eq!(
             ctx.consume_parts(PartScanId(1), SegmentId(0)).unwrap(),
@@ -278,7 +281,8 @@ mod tests {
 
     #[test]
     fn empty_selection_still_counts_as_ran() {
-        let ctx = ExecContext::new(&[], 1);
+        let cache = CompiledCache::new();
+        let ctx = ExecContext::new(&[], &cache, 1);
         ctx.mark_selector_ran(PartScanId(2), SegmentId(0));
         assert!(ctx
             .consume_parts(PartScanId(2), SegmentId(0))
@@ -288,7 +292,8 @@ mod tests {
 
     #[test]
     fn propagation_accumulates_and_dedupes() {
-        let ctx = ExecContext::new(&[], 1);
+        let cache = CompiledCache::new();
+        let ctx = ExecContext::new(&[], &cache, 1);
         ctx.propagate_parts(PartScanId(1), SegmentId(0), [PartOid(5), PartOid(6)]);
         ctx.propagate_parts(PartScanId(1), SegmentId(0), [PartOid(5), PartOid(7)]);
         assert_eq!(
@@ -299,7 +304,8 @@ mod tests {
 
     #[test]
     fn oid_params_gate() {
-        let ctx = ExecContext::new(&[], 1);
+        let cache = CompiledCache::new();
+        let ctx = ExecContext::new(&[], &cache, 1);
         assert!(ctx.oid_param_contains(1, PartOid(5)).is_err());
         ctx.set_oid_param(1, [PartOid(5)].into_iter().collect());
         assert!(ctx.oid_param_contains(1, PartOid(5)).unwrap());
@@ -310,7 +316,8 @@ mod tests {
     fn registry_is_shared_across_threads() {
         // Concurrent workers publish into and read from the same registry;
         // per-segment keying keeps their entries apart.
-        let ctx = ExecContext::new(&[], 4);
+        let cache = CompiledCache::new();
+        let ctx = ExecContext::new(&[], &cache, 4);
         std::thread::scope(|s| {
             for seg in 0..4u32 {
                 let ctx = &ctx;

@@ -82,7 +82,8 @@ pub fn execute(storage: &Storage, plan: &PhysicalPlan) -> Result<QueryResult> {
 }
 
 /// Execute with prepared-statement parameters bound, on the given
-/// [`ExecEngine`] and morsel-scheduler [`SchedConfig`].
+/// [`ExecEngine`] and morsel-scheduler [`SchedConfig`]. The plan's
+/// expressions compile into a cache that lives for this one execution.
 pub fn execute_with_params_sched(
     storage: &Storage,
     plan: &PhysicalPlan,
@@ -90,21 +91,21 @@ pub fn execute_with_params_sched(
     engine: ExecEngine,
     sched: &SchedConfig,
 ) -> Result<QueryResult> {
-    run_plan_sched(storage, plan, params, engine, None, sched)
+    run_plan_sched(storage, plan, params, engine, &CompiledCache::new(), sched)
 }
 
-/// The collecting driver behind ad-hoc and prepared execution (the
-/// optional [`CompiledCache`] carries a prepared plan's expression
-/// templates): one streaming execution whose sink appends every chunk to
-/// a row vector. This is the *only* way a materialized `Vec<Row>` is ever
-/// produced — streaming and collecting execution share one
-/// implementation.
+/// The collecting form of `run_plan_stream`: one streaming execution
+/// whose sink appends every chunk to a row vector. This is the *only* way
+/// a materialized `Vec<Row>` is ever produced — streaming and collecting
+/// execution share one implementation. `cache` holds the compiled
+/// templates of `plan`'s expressions: a [`crate::PreparedPlan`]'s, kept
+/// across executions, or a fresh one.
 pub(crate) fn run_plan_sched(
     storage: &Storage,
     plan: &PhysicalPlan,
     params: &[Datum],
     engine: ExecEngine,
-    cache: Option<&CompiledCache>,
+    cache: &CompiledCache,
     sched: &SchedConfig,
 ) -> Result<QueryResult> {
     let mut rows: Vec<Row> = Vec::new();
@@ -132,31 +133,17 @@ pub(crate) fn run_plan_sched(
 /// Statistics survive errors — a cancelled query reports what it
 /// scanned before stopping.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_stream_sched(
-    storage: &Storage,
-    plan: &PhysicalPlan,
-    params: &[Datum],
-    engine: ExecEngine,
-    sched: &SchedConfig,
-    cancel: &CancelToken,
-    sink: &mut RowSink<'_>,
-) -> StreamResult {
-    run_plan_stream(storage, plan, params, engine, None, sched, cancel, sink)
-}
-
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_plan_stream(
     storage: &Storage,
     plan: &PhysicalPlan,
     params: &[Datum],
     engine: ExecEngine,
-    cache: Option<&CompiledCache>,
+    cache: &CompiledCache,
     sched: &SchedConfig,
     cancel: &CancelToken,
     sink: &mut RowSink<'_>,
 ) -> StreamResult {
-    let ctx = ExecContext::for_plan(plan, params, storage.num_segments())
-        .with_compiled_cache(cache)
+    let ctx = ExecContext::for_plan(plan, params, cache, storage.num_segments())
         .with_cancel(cancel.clone());
     let result = run_plan_stream_inner(plan, storage, &ctx, engine, sched, sink);
     let mut stats = ctx.into_stats();
@@ -262,14 +249,19 @@ fn is_dml(plan: &PhysicalPlan) -> bool {
     )
 }
 
-/// Lower an expression against an operator's output columns: columns become
-/// row offsets, parameters and constant subtrees fold away. Every per-row
-/// site below compiles once per (slice) execution and evaluates the
-/// compiled form per row. Under prepared execution the context carries a
-/// template cache and the lowering survives across executions — only the
-/// cheap parameter re-bind runs per call.
+/// Lower an expression of the plan against an operator's output columns:
+/// columns become row offsets and constant subtrees fold away. The
+/// lowering is the context's cached template for this node, compiled on
+/// first use; a template with `$n` parameters is re-bound to this
+/// execution's values ([`CompiledExpr::bind_params`]), one without is
+/// shared as is.
 pub(crate) fn compiled(e: &Expr, cols: &[ColRef], ctx: &ExecContext<'_>) -> Arc<CompiledExpr> {
-    crate::prepared::compiled_for(e, cols, ctx)
+    let template = ctx.compiled_cache().get_or_compile(e, cols);
+    if template.has_params() {
+        Arc::new(template.bind_params(ctx.params))
+    } else {
+        template
+    }
 }
 
 /// Evaluate one subtree on one segment.

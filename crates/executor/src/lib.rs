@@ -49,9 +49,7 @@ mod typed_key;
 mod motion_tests;
 
 pub use context::ExecContext;
-pub use exec::{
-    execute, execute_stream_sched, execute_with_params_sched, ExecEngine, ExecMode, QueryResult,
-};
+pub use exec::{execute, execute_with_params_sched, ExecEngine, ExecMode, QueryResult};
 pub use morsel::SchedConfig;
 pub use prepared::{CompiledCache, PreparedPlan};
 pub use slice::SlicePlan;

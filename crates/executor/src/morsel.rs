@@ -59,8 +59,9 @@
 //!
 //! Static partition selectors run once per segment on the driver thread
 //! (they publish OID sets and count `selector_runs` against the real
-//! context); the re-run path strips them from the slice so their stats
-//! are never double-counted.
+//! context). The re-run runs the slice itself, selectors included: they
+//! publish the same OIDs again, and the segment's `selector_runs` gives
+//! back the first runs beforehand so they are never double-counted.
 
 use crate::block_exec::{
     exec_block, filter_block_core, hash_agg_blocks, project_block_core, rows_to_chunks, scan_blocks,
@@ -441,10 +442,6 @@ struct FusedSlice<'p> {
     post_ops: Vec<FusedOp>,
     /// The slice child itself — the reference path for re-runs.
     node: &'p PhysicalPlan,
-    /// Re-run plan with the selector prefix stripped (only built when
-    /// selectors exist): selectors already ran during enumeration, and
-    /// running them twice would double-count `selector_runs`.
-    rerun: Option<PhysicalPlan>,
 }
 
 impl<'p> FusedSlice<'p> {
@@ -517,11 +514,6 @@ impl<'p> FusedSlice<'p> {
                 .collect::<Option<Vec<_>>>()?,
             _ => vec![scan(src_node)?],
         };
-        let rerun = if selectors.is_empty() {
-            None
-        } else {
-            Some(strip_selectors(node))
-        };
         Some(FusedSlice {
             selectors,
             scans,
@@ -529,45 +521,7 @@ impl<'p> FusedSlice<'p> {
             agg,
             post_ops: post_rev,
             node,
-            rerun,
         })
-    }
-}
-
-/// Clone the fused spine with the `Sequence` selector prefix removed: the
-/// re-run path must not run selectors again. Only the linear fused shape
-/// is ever passed here.
-fn strip_selectors(node: &PhysicalPlan) -> PhysicalPlan {
-    match node {
-        PhysicalPlan::Sequence { children } => children
-            .last()
-            .cloned()
-            .expect("fused Sequence has a scan child"),
-        PhysicalPlan::Filter { pred, child } => PhysicalPlan::Filter {
-            pred: pred.clone(),
-            child: Box::new(strip_selectors(child)),
-        },
-        PhysicalPlan::Project {
-            exprs,
-            output,
-            child,
-        } => PhysicalPlan::Project {
-            exprs: exprs.clone(),
-            output: output.clone(),
-            child: Box::new(strip_selectors(child)),
-        },
-        PhysicalPlan::HashAgg {
-            group_by,
-            aggs,
-            output,
-            child,
-        } => PhysicalPlan::HashAgg {
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-            output: output.clone(),
-            child: Box::new(strip_selectors(child)),
-        },
-        other => other.clone(),
     }
 }
 
@@ -650,8 +604,7 @@ fn run_fused(
     seg_errs.resize_with(n_segs, || None);
     let mut seg_stats: Vec<SegmentStats> = vec![SegmentStats::default(); n_segs];
 
-    // Selectors publish OID sets and count against the real context; the
-    // segment re-run path never repeats them.
+    // Selectors publish OID sets and count against the real context.
     for (i, &seg) in segs.iter().enumerate() {
         for sel in &fused.selectors {
             let t0 = Instant::now();
@@ -709,14 +662,18 @@ fn run_fused(
 
     // Then one task per segment: fold its morsel blocks and run the
     // operators above the fold — or, after a morsel error, re-run it.
-    let rerun_node = fused.rerun.as_ref().unwrap_or(fused.node);
     let finish = |seg, mut stats: SegmentStats, outs: Vec<Option<MorselOut>>| {
         let mut chunks = Vec::new();
         for out in outs {
             match out.ok_or_else(|| Error::Internal("morsel worker panicked".into()))? {
                 // Discard buffered state; the reference re-run
-                // reproduces the row-major-first error exactly.
-                Err(_) => return exec_block(rerun_node, seg, storage, ctx),
+                // reproduces the row-major-first error exactly. It runs
+                // the selectors again, which publish the same OIDs, so
+                // their first runs leave `selector_runs`.
+                Err(_) => {
+                    ctx.seg_stats(seg).selector_runs -= fused.selectors.len() as u64;
+                    return exec_block(fused.node, seg, storage, ctx);
+                }
                 Ok((s, blocks)) => {
                     stats.absorb(s);
                     chunks.extend(blocks);

@@ -1,23 +1,26 @@
 //! Prepared plans: compile-once/execute-many at the *executor* level.
 //!
-//! A [`PreparedPlan`] pins a physical plan behind an `Arc` and keeps the
-//! per-slice [`CompiledExpr`] lowering (see `mpp_expr::compile`) alive
-//! across executions. Expressions are compiled **without** parameter
-//! values — `$n` stays an `UnboundParam` node — so one template serves
-//! every execution: parameter-free templates are shared as-is, and
+//! Every execution lowers its expressions through a [`CompiledCache`]
+//! (see `mpp_expr::compile`). Expressions are compiled **without**
+//! parameter values — `$n` stays an `UnboundParam` node — so one template
+//! serves every execution: parameter-free templates are shared as-is, and
 //! parameter-bearing ones are cheaply re-bound per execution with
 //! [`CompiledExpr::bind_params`] (substitute + re-specialize + re-fold,
-//! no column resolution or tree lowering).
+//! no column resolution or tree lowering). The executor never folds a
+//! parameter at compile time.
 //!
-//! The cache is keyed by expression node *address* inside the pinned
-//! plan. That is sound precisely because the plan is immutable behind
-//! the `Arc` the `PreparedPlan` owns: every `Expr` the interpreter
-//! passes to `compiled()` is a node of that plan, and its address is
-//! stable for the cache's whole lifetime. The interpreter compiles
-//! lazily at each per-row site, so only expressions a query actually
-//! reaches occupy cache space.
+//! A [`PreparedPlan`] pins a physical plan behind an `Arc` and keeps its
+//! cache alive across executions; [`crate::execute_with_params_sched`]
+//! gives its plan a fresh cache for one execution.
+//!
+//! The cache is keyed by expression node *address* inside the plan.
+//! That is sound precisely because the plan is immutable and outlives
+//! the cache's use: every `Expr` the interpreter passes to `compiled()`
+//! is a node of that plan — the executor never compiles a copy — and its
+//! address is stable for the cache's whole lifetime. The interpreter
+//! compiles lazily at each per-row site, so only expressions a query
+//! actually reaches occupy cache space.
 
-use crate::context::ExecContext;
 use crate::exec::{run_plan_sched, run_plan_stream, ExecEngine, ExecMode, QueryResult};
 use crate::morsel::SchedConfig;
 use crate::stream::{CancelToken, RowSink, StreamResult};
@@ -109,14 +112,7 @@ impl PreparedPlan {
                 ..*sched
             },
         };
-        run_plan_sched(
-            storage,
-            &self.plan,
-            params,
-            engine,
-            Some(&self.cache),
-            &sched,
-        )
+        run_plan_sched(storage, &self.plan, params, engine, &self.cache, &sched)
     }
 
     /// Streaming execution of the pinned plan: chunks flow through
@@ -137,31 +133,11 @@ impl PreparedPlan {
             &self.plan,
             params,
             engine,
-            Some(&self.cache),
+            &self.cache,
             sched,
             cancel,
             sink,
         )
-    }
-}
-
-/// Lower an expression for this execution: through the template cache
-/// when the context carries one (prepared execution), or by direct
-/// compilation (ad-hoc execution, exactly the pre-existing path).
-pub(crate) fn compiled_for(e: &Expr, cols: &[ColRef], ctx: &ExecContext<'_>) -> Arc<CompiledExpr> {
-    match ctx.compiled_cache() {
-        None => Arc::new(compile(
-            e,
-            &EvalContext::from_columns(cols).with_params(ctx.params),
-        )),
-        Some(cache) => {
-            let template = cache.get_or_compile(e, cols);
-            if template.has_params() {
-                Arc::new(template.bind_params(ctx.params))
-            } else {
-                template
-            }
-        }
     }
 }
 

@@ -5,11 +5,13 @@
 //! boxed [`Expr`] nodes and clones a [`Datum`] at every step. That is fine
 //! at plan time (partition selection, constant folding) but it is the inner
 //! loop of every Filter/Join/Agg at run time. [`compile()`] lowers an
-//! `Expr` + `EvalContext` into a [`CompiledExpr`] once per slice execution:
+//! `Expr` + `EvalContext` into a [`CompiledExpr`] once per plan node (the
+//! executor caches it across executions):
 //!
 //! * column references become direct row offsets (no per-row map lookup),
-//! * prepared-statement parameters and constant subtrees are folded at
-//!   prepare time,
+//! * constant subtrees, and parameters the context binds, are folded at
+//!   compile time; the executor compiles without parameters and binds
+//!   them per execution with [`CompiledExpr::bind_params`],
 //! * the dominant predicate shapes get dedicated fast paths that evaluate
 //!   by reference without cloning: `col OP const`, `col BETWEEN const AND
 //!   const`, and `col IN (const, …)` via a hash set ([`ConstSet`]) instead

@@ -39,10 +39,10 @@ use mpp_catalog::Catalog;
 use mpp_common::{Datum, Error, PartOid, Result, Row, TableOid};
 use mpp_core::estimate::{estimate_plan, fmt as fmt_est};
 use mpp_core::{explain_with_estimates, Optimizer, OptimizerConfig};
-use mpp_executor::{execute_stream_sched, ExecutionStats, PreparedPlan};
 pub use mpp_executor::{
     CancelToken, ExecEngine, ExecMode, ResultChunk, RowSink, SchedConfig, StreamResult,
 };
+use mpp_executor::{ExecutionStats, PreparedPlan};
 use mpp_expr::ColRefGenerator;
 use mpp_legacy::LegacyPlanner;
 use mpp_plan::{explain_annotated, PhysicalPlan};
@@ -132,7 +132,9 @@ impl StreamOutcome {
 /// paid once at [`MppDb::prepare`] time; every [`MppDb::execute_prepared`]
 /// binds fresh parameters, re-resolves partition OIDs through the plan's
 /// `PartitionSelector`s, and reuses the executor's compiled-expression
-/// templates ([`mpp_executor::PreparedPlan`]).
+/// templates ([`mpp_executor::PreparedPlan`]). A one-shot [`MppDb::sql`]
+/// is a `PreparedQuery` executed once: every statement reaches the
+/// executor through [`MppDb::stream_prepared`].
 pub struct PreparedQuery {
     prepared: Arc<PreparedPlan>,
     param_count: u32,
@@ -389,46 +391,31 @@ impl MppDb {
         self.run_sql(sql_text, params, Planner::Legacy)
     }
 
-    /// The single parse→DDL→bind→optimize→execute path behind both
-    /// planner flavors (and the session layer): a streaming execution
-    /// whose sink collects every chunk into the returned row vector.
+    /// The single parse→DDL→prepare→execute path behind both planner
+    /// flavors: a streaming execution whose sink collects every chunk
+    /// into the returned row vector.
     pub fn run_sql(
         &self,
         sql_text: &str,
         params: &[Datum],
         planner: Planner,
     ) -> Result<QueryOutcome> {
+        let stmt = mpp_sql::parse(sql_text)?;
         let mut rows: Vec<Row> = Vec::new();
         let mut sink = |chunk: ResultChunk| {
             chunk.append_to(&mut rows);
             Ok(())
         };
-        self.stream_sql(sql_text, params, planner, &CancelToken::new(), &mut sink)
+        self.stream_parsed(&stmt, params, planner, &CancelToken::new(), &mut sink)
             .collected(rows)
     }
 
-    /// Streaming form of [`MppDb::run_sql`]: result chunks flow through
+    /// Run a parsed statement, streaming: result chunks flow through
     /// `sink` as segments finish, `cancel` stops execution at the next
     /// block boundary, and the returned [`StreamOutcome`] keeps partial
-    /// statistics even on error. DDL and `EXPLAIN` behave exactly as in
-    /// the collecting path (DDL emits no chunks; EXPLAIN emits its plan
-    /// text as one chunk without executing).
-    pub fn stream_sql(
-        &self,
-        sql_text: &str,
-        params: &[Datum],
-        planner: Planner,
-        cancel: &CancelToken,
-        sink: &mut RowSink<'_>,
-    ) -> StreamOutcome {
-        match mpp_sql::parse(sql_text) {
-            Ok(stmt) => self.stream_parsed(&stmt, params, planner, cancel, sink),
-            Err(e) => StreamOutcome::failed(e),
-        }
-    }
-
-    /// [`MppDb::stream_sql`] for a statement the caller has already
-    /// parsed (the session layer parses once, to tell DDL apart).
+    /// statistics even on error. DDL runs here and emits no chunks; any
+    /// other statement is prepared and executed once
+    /// ([`MppDb::stream_prepared`]).
     pub fn stream_parsed(
         &self,
         stmt: &mpp_sql::Statement,
@@ -437,63 +424,21 @@ impl MppDb {
         cancel: &CancelToken,
         sink: &mut RowSink<'_>,
     ) -> StreamOutcome {
-        // Everything up to execution fails without stats, as before.
-        let planned = (|| {
-            if self.try_ddl(stmt)?.is_some() {
-                return Ok(None);
-            }
-            let bound = mpp_sql::bind(stmt, self.catalog(), &self.gen)?;
-            check_param_arity(bound.param_count, params.len())?;
-            let plan = Arc::new(self.optimize_with(planner, &bound.plan)?);
-            Ok(Some((plan, bound.explain)))
-        })();
-        let (plan, explain) = match planned {
-            Err(e) => return StreamOutcome::failed(e),
-            // DDL already executed inside try_ddl; it has no result rows.
-            Ok(None) => {
-                return StreamOutcome {
-                    stats: ExecutionStats::default(),
-                    plan: Some(Arc::new(PhysicalPlan::Values {
-                        rows: vec![],
-                        output: vec![],
-                    })),
-                    cache: None,
-                    result: Ok(()),
-                }
-            }
-            Ok(Some(p)) => p,
-        };
-        if explain {
-            let result = sink(ResultChunk::Rows(text_rows(&self.explain_plan(&plan))));
-            return StreamOutcome {
+        match self.try_ddl(stmt) {
+            Ok(true) => StreamOutcome {
                 stats: ExecutionStats::default(),
-                plan: Some(plan),
+                plan: Some(Arc::new(PhysicalPlan::Values {
+                    rows: vec![],
+                    output: vec![],
+                })),
                 cache: None,
-                result,
-            };
-        }
-        let estimates = self
-            .adaptive_plans()
-            .then(|| scan_estimates(&plan, self.catalog()));
-        let out = execute_stream_sched(
-            &self.storage,
-            &plan,
-            params,
-            self.exec_engine,
-            &self.sched,
-            cancel,
-            sink,
-        );
-        if out.result.is_ok() {
-            if let Some(est) = &estimates {
-                self.record_feedback(est, &out.stats);
-            }
-        }
-        StreamOutcome {
-            stats: out.stats,
-            plan: Some(plan),
-            cache: None,
-            result: out.result,
+                result: Ok(()),
+            },
+            Ok(false) => match self.prepare_parsed(stmt, planner) {
+                Ok(q) => self.stream_prepared(&q, params, cancel, sink),
+                Err(e) => StreamOutcome::failed(e),
+            },
+            Err(e) => StreamOutcome::failed(e),
         }
     }
 
@@ -623,12 +568,13 @@ impl MppDb {
         }
     }
 
-    /// Execute DDL statements (CREATE / DROP / ALTER TABLE); `None` when
-    /// the statement is not DDL. DROP also truncates the table's storage,
-    /// and ALTER … DROP PARTITION removes the dropped leaves' rows. The
-    /// statistics follow at once: `Catalog::replace_table` takes dropped
-    /// leaves out of the row counts and registers added ones as empty.
-    fn try_ddl(&self, stmt: &mpp_sql::Statement) -> Result<Option<QueryOutcome>> {
+    /// Execute DDL statements (CREATE / DROP / ALTER TABLE, ANALYZE);
+    /// `false` when the statement is not DDL. DROP also truncates the
+    /// table's storage, and ALTER … DROP PARTITION removes the dropped
+    /// leaves' rows. The statistics follow at once:
+    /// `Catalog::replace_table` takes dropped leaves out of the row counts
+    /// and registers added ones as empty.
+    fn try_ddl(&self, stmt: &mpp_sql::Statement) -> Result<bool> {
         use mpp_sql::Statement;
         match stmt {
             Statement::CreateTable { .. } => {
@@ -667,17 +613,9 @@ impl MppDb {
                 let oid = self.catalog().table_by_name(table)?.oid;
                 self.storage.analyze(oid)?;
             }
-            _ => return Ok(None),
+            _ => return Ok(false),
         }
-        Ok(Some(QueryOutcome {
-            rows: Vec::new(),
-            stats: ExecutionStats::default(),
-            plan: Arc::new(PhysicalPlan::Values {
-                rows: vec![],
-                output: vec![],
-            }),
-            cache: None,
-        }))
+        Ok(true)
     }
 
     /// EXPLAIN text of the optimized plan, with per-operator estimated
@@ -863,6 +801,43 @@ mod tests {
         // Arity is exact here too, and DDL cannot be prepared.
         assert!(db.execute_prepared(&q, &[]).is_err());
         assert!(db.prepare("CREATE TABLE nope (a int)").is_err());
+    }
+
+    /// A fused slice (a projection over a statically selected scan) whose
+    /// morsels err under `$1 = 0`, so each segment re-runs the slice.
+    const DIV_SQL: &str = "SELECT a / $1 FROM r WHERE b < 10";
+
+    /// The re-run runs the plan's own nodes: it compiles nothing new
+    /// into the handle's template cache.
+    #[test]
+    fn erroring_reruns_reuse_the_handle_templates() {
+        let db = MppDb::new(2);
+        setup_rs(db.storage(), &SynthConfig::default()).unwrap();
+        let clean = db.prepare(DIV_SQL).unwrap();
+        db.execute_prepared(&clean, &[Datum::Int32(1)]).unwrap();
+        let erring = db.prepare(DIV_SQL).unwrap();
+        for _ in 0..4 {
+            let err = db
+                .execute_prepared(&erring, &[Datum::Int32(0)])
+                .unwrap_err();
+            assert_eq!(err.kind(), "arithmetic", "{err}");
+        }
+        assert_eq!(erring.compiled_sites(), clean.compiled_sites());
+    }
+
+    /// The re-run runs the selectors again, but they count once.
+    #[test]
+    fn erroring_rerun_counts_each_selector_once() {
+        let db = MppDb::new(2).with_sched_config(SchedConfig::with_workers(3));
+        setup_rs(db.storage(), &SynthConfig::default()).unwrap();
+        let q = db.prepare(DIV_SQL).unwrap();
+        let run =
+            |v| db.stream_prepared(&q, &[Datum::Int32(v)], &CancelToken::new(), &mut |_| Ok(()));
+        let (clean, erring) = (run(1), run(0));
+        assert!(clean.result.is_ok());
+        assert_eq!(erring.result.unwrap_err().kind(), "arithmetic");
+        assert!(clean.stats.selector_runs > 0);
+        assert_eq!(erring.stats.selector_runs, clean.stats.selector_runs);
     }
 
     #[test]

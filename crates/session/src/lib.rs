@@ -655,6 +655,57 @@ mod tests {
     }
 
     #[test]
+    fn explain_of_ddl_is_refused_on_every_surface() {
+        let ctx = ctx();
+        let text = "EXPLAIN CREATE TABLE x (a int)";
+        for err in [
+            ctx.db().sql(text).unwrap_err(),
+            ctx.session().sql(text).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), "unsupported", "{err}");
+        }
+        assert!(ctx.db().catalog().table_by_name("x").is_err());
+    }
+
+    /// `EXPLAIN` with a parameter renders the same plan, and checks the
+    /// same arity, whichever surface runs it. Scan ids are fresh per
+    /// optimization, so the plans compare by shape: one operator name per
+    /// line.
+    #[test]
+    fn explain_with_params_agrees_across_surfaces() {
+        let ctx = ctx();
+        let (db, s) = (ctx.db(), ctx.session());
+        let text = "EXPLAIN SELECT count(*) FROM r WHERE b < $1";
+        let run = |params: &[Datum]| {
+            [
+                db.sql_with_params(text, params),
+                db.prepare(text)
+                    .and_then(|q| db.execute_prepared(&q, params)),
+                s.sql_with_params(text, params),
+            ]
+        };
+        let shapes: Vec<Vec<String>> = run(&[Datum::Int32(10)])
+            .into_iter()
+            .map(|out| {
+                out.unwrap()
+                    .rows
+                    .iter()
+                    .map(|r| {
+                        let line = r.values()[0].as_str().unwrap().trim_start();
+                        line.chars().take_while(char::is_ascii_alphabetic).collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        assert!(shapes[0].iter().any(|op| op == "DynamicScan"), "{shapes:?}");
+        assert!(shapes.iter().all(|s| *s == shapes[0]), "{shapes:?}");
+        for out in run(&[]) {
+            let err = out.unwrap_err();
+            assert!(err.to_string().contains("exactly 1 parameter"), "{err}");
+        }
+    }
+
+    #[test]
     fn explain_statements_cache_too() {
         let ctx = ctx();
         let s = ctx.session();

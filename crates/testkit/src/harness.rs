@@ -19,9 +19,10 @@
 //!    to Orca always; to the legacy planner only without parameters
 //!    (legacy resolves partitions at plan time, so `$n` defeats its
 //!    static elimination by design).
-//! 5. **Prepared statements** — `prepare` + `execute_prepared` on the
-//!    served configuration (default engine and scheduler) must agree
-//!    with the oracle under both planners.
+//! 5. **Prepared statements** — every cell runs its statement as a
+//!    prepared plan executed once (`MppDb::run_sql` is `prepare` +
+//!    `execute_prepared`), so expression templates and their per-execution
+//!    parameter binding are checked in every combo and scheduler shape.
 //!
 //! Every query additionally runs under both settings of the **adaptive
 //! axis** ([`adaptive_axis`]): per-partition plan specialization plus
@@ -111,8 +112,6 @@ pub enum FailKind {
     /// A statically analyzable filter scanned outside the f*_T bound —
     /// static partition elimination failed to prune.
     NotMinimal,
-    /// prepare/execute_prepared disagreed with the one-shot path.
-    Prepared,
 }
 
 /// One reproducible disagreement between engine and oracle.
@@ -242,9 +241,9 @@ fn diff_outcomes(engine: Result<()>, oracle: Result<()>) -> std::result::Result<
     }
 }
 
-/// Run one query action across every combo under every scheduler shape,
-/// plus both prepared paths: 2 adaptive × (3 sched × 4 combos + 2
-/// prepared) = 28 engine executions.
+/// Run one query action across every combo under every scheduler shape:
+/// 2 adaptive × 3 sched × 4 combos = 24 engine executions, each a
+/// prepared plan executed once.
 fn run_query(
     db: &mut MppDb,
     oracle: &Oracle,
@@ -280,31 +279,10 @@ fn run_query(
                 }
             }
         }
-        // Prepared-statement path, both planners, on the served engine
-        // and scheduler: template-cached `bind_params` execution is what
-        // every server query runs.
-        db.set_exec_engine(ExecEngine::default());
-        db.set_sched_config(SchedConfig::default());
-        for planner in [Planner::Orca, Planner::Legacy] {
-            let engine_out = db
-                .prepare_with(&sql, planner)
-                .and_then(|h| db.execute_prepared(&h, &params));
-            let check = diff_query(db, oracle, case, q, planner, &engine_out, &oracle_out);
-            if let Err((kind, detail)) = check {
-                return Err(Failure {
-                    action,
-                    combo: format!("{planner:?}/prepared/{axis_name}"),
-                    kind: if kind == FailKind::Rows {
-                        FailKind::Prepared
-                    } else {
-                        kind
-                    },
-                    detail: format!("{detail}\n  sql: {sql}"),
-                });
-            }
-        }
     }
     db.set_adaptive_plans(true);
+    db.set_exec_engine(ExecEngine::default());
+    db.set_sched_config(SchedConfig::default());
     Ok(())
 }
 

@@ -17,9 +17,8 @@
 //! - [`harness`] — runs each case through all four
 //!   {Orca,Legacy} × {Row,Batch} combos — each under the three scheduler
 //!   configs of [`harness::sched_axis`] (the served one-worker default,
-//!   and tiny morsels on one worker and on three) — and the
-//!   prepared-statement path on the served configuration, diffing row
-//!   multisets, error kinds,
+//!   and tiny morsels on one worker and on three), every run a prepared
+//!   plan executed once — diffing row multisets, error kinds,
 //!   partition-elimination *soundness* (`parts_scanned` ⊇ partitions with
 //!   qualifying rows) and, for exactly-analyzable static filters,
 //!   *minimality* against an independent f*_T bound.

@@ -2,12 +2,12 @@
 # Differential fuzz campaign: generate random workloads, run each query
 # through every {planner} × {exec engine} combination under three
 # scheduler shapes (one worker with 4,096-row and 7-row morsels, three
-# workers with 7-row morsels) plus the prepared-statement path on the
-# served configuration — all under BOTH adaptive-planning settings
+# workers with 7-row morsels) — all under BOTH adaptive-planning settings
 # (per-partition specialization + cardinality feedback on, then off):
-# 2 × (3 × 4 + 2) = 28 engine runs per query — and through the naive
-# oracle, and diff results, error kinds, and partition-elimination
-# soundness. The fuzz binary prints its wall time when it finishes. On failure
+# 2 × 3 × 4 = 24 engine runs per query, each a prepared plan executed
+# once, so every run binds parameters into cached expression templates —
+# and through the naive oracle, and diff results, error kinds, and
+# partition-elimination soundness. The fuzz binary prints its wall time when it finishes. On failure
 # the case is shrunk to a minimal reproducer (pinned to the adaptive
 # setting that diverged, when one setting alone reproduces it) and
 # written to testkit/corpus/.
