@@ -22,8 +22,8 @@
 //! * a Motion reads its share of the stage driver's chunk lists through
 //!   `read_motion`, which the row engine's Motion arm calls too: Broadcast
 //!   destinations share the same materialization (column `Arc` bumps),
-//!   Redistribute hashes every chunk once per Motion and routes by
-//!   selection,
+//!   Redistribute routes every row once per Motion into per-destination
+//!   selections,
 //! * the per-tuple `PartitionSelector` probe reads block columns
 //!   directly and routes to a dedup'd OID set.
 //!
@@ -890,25 +890,42 @@ pub(crate) fn read_motion(
                         })
                     })
                     .collect::<Result<_>>()?;
-            let n = storage.num_segments() as u64;
+            let n = storage.num_segments();
             let chunks: Vec<&RowBlock> = per_source.iter().flatten().collect();
-            // One hashing pass per Motion (not per destination segment).
-            let hashes = ctx.redistribute_hashes(id, || {
-                chunks.iter().map(|b| b.hash_columns(&positions)).collect()
-            });
-            let mut out = Vec::new();
-            for (b, hs) in chunks.iter().zip(hashes.iter()) {
-                let sel: Vec<u32> = hs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, h)| (h % n) as u32 == seg.0)
-                    .map(|(k, _)| b.phys_index(k) as u32)
-                    .collect();
-                if !sel.is_empty() {
-                    out.push((*b).clone().with_sel(sel));
+            // One routing pass per Motion, not one per destination: row
+            // `k` goes to segment `hash % n`, the rule storage places rows
+            // by, and every destination keeps its rows in source order.
+            // Selections are allocated at their exact sizes: the memo
+            // lives as long as the query.
+            let routes = ctx.redistribute_routes(id, || {
+                let mut routes = vec![Vec::with_capacity(chunks.len()); n];
+                for b in &chunks {
+                    let dest: Vec<usize> = b
+                        .hash_columns(&positions)
+                        .into_iter()
+                        .map(|h| (h % n as u64) as usize)
+                        .collect();
+                    let mut rows = vec![0; n];
+                    for &d in &dest {
+                        rows[d] += 1;
+                    }
+                    let mut sels: Vec<Vec<u32>> =
+                        rows.into_iter().map(Vec::with_capacity).collect();
+                    for (k, &d) in dest.iter().enumerate() {
+                        sels[d].push(b.phys_index(k) as u32);
+                    }
+                    for (r, sel) in routes.iter_mut().zip(sels) {
+                        r.push(sel);
+                    }
                 }
-            }
-            Ok(out)
+                routes
+            });
+            Ok(chunks
+                .iter()
+                .zip(&routes[seg.0 as usize])
+                .filter(|(_, sel)| !sel.is_empty())
+                .map(|(b, sel)| (*b).clone().with_sel(sel.clone()))
+                .collect())
         }
     }
 }
@@ -918,6 +935,7 @@ mod tests {
     use super::*;
     use crate::exec::{execute_with_params_sched, ExecEngine, QueryResult};
     use crate::morsel::SchedConfig;
+    use crate::prepared::CompiledCache;
     use mpp_catalog::{Catalog, Distribution, TableDesc};
     use mpp_common::{row, Column, DataType, Schema, TableOid};
     use mpp_expr::{CmpOp, ColRef};
@@ -1057,5 +1075,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Redistribute routing: every source row reaches exactly one
+    /// destination, `Row::hash_columns % n` (the rule storage places rows
+    /// by), in source order; all destinations share one cached routing.
+    #[test]
+    fn redistribute_routes_each_row_once_by_the_storage_rule() {
+        let (st, t) = setup(3, Vec::new());
+        let plan = PhysicalPlan::Motion {
+            kind: MotionKind::Redistribute(vec![cr(2, "g")]),
+            child: Box::new(scan(t)),
+        };
+        let PhysicalPlan::Motion { kind, child } = &plan else {
+            unreachable!()
+        };
+        // `a` numbers the rows in source order; the key `g` is nullable.
+        let chunk = |from: i64, n: i64| {
+            let rows: Vec<Row> = (from..from + n)
+                .map(|a| {
+                    let g = if a % 7 == 0 {
+                        Datum::Null
+                    } else {
+                        Datum::Int64(a * 31 % 11)
+                    };
+                    Row::new(vec![Datum::Int64(a), g])
+                })
+                .collect();
+            RowBlock::from_rows(&rows, 2)
+        };
+        let selected = vec![1, 4, 5, 9, 20, 24];
+        let per_source = vec![
+            vec![chunk(0, 40), chunk(40, 25).with_sel(selected.clone())],
+            vec![],
+            vec![chunk(65, 30), chunk(95, 3)],
+        ];
+        let source: Vec<i64> = (0..40)
+            .chain(selected.iter().map(|&k| 40 + k as i64))
+            .chain(65..98)
+            .collect();
+        let cache = CompiledCache::new();
+        let ctx = ExecContext::for_plan(&plan, &[], &cache, 3);
+        ctx.motion_store(ctx.motion_id_of(&plan).unwrap(), Arc::new(per_source));
+        let mut seen = Vec::new();
+        for d in 0..3u32 {
+            let rows =
+                blocks_to_rows(&read_motion(&plan, kind, child, SegmentId(d), &st, &ctx).unwrap());
+            assert!(!rows.is_empty(), "segment {d}");
+            let got: Vec<i64> = rows
+                .iter()
+                .map(|r| r.values()[0].as_i64().unwrap())
+                .collect();
+            assert!(
+                got.windows(2).all(|w| w[0] < w[1]),
+                "source order on {d}: {got:?}"
+            );
+            for r in &rows {
+                assert_eq!(r.hash_columns(&[1]) % 3, u64::from(d), "row {r:?}");
+            }
+            seen.extend(got);
+            assert_eq!(ctx.routes_cached(), 1);
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, source, "every source row read exactly once");
     }
 }

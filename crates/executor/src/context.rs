@@ -17,6 +17,11 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// A Redistribute's routing: `routes[d][c]` lists, ascending, the
+/// physical rows of source chunk `c` (in flattened source order) that
+/// destination segment `d` receives.
+pub(crate) type Routes = Vec<Vec<Vec<u32>>>;
+
 /// Per-query runtime state shared by all operators and segments.
 ///
 /// `part_registry` is the simulator's stand-in for the shared-memory
@@ -41,10 +46,10 @@ pub struct ExecContext<'a> {
     /// (a row-engine slice hands its rows over as one chunk). `Arc` so
     /// concurrent readers share one materialization.
     motion_cache: Mutex<HashMap<MotionId, Arc<Vec<Vec<RowBlock>>>>>,
-    /// Redistribute memo: distribution hashes per chunk (in flattened
-    /// source order), computed once per Motion instead of once per
-    /// destination segment.
-    redist_hashes: Mutex<HashMap<MotionId, Arc<Vec<Vec<u64>>>>>,
+    /// Redistribute memo: per destination segment, per chunk (in
+    /// flattened source order), the physical rows it receives — routed
+    /// once per Motion instead of once per destination segment.
+    redist_routes: Mutex<HashMap<MotionId, Arc<Routes>>>,
     /// Node address → stable id, precomputed from the plan's pre-order
     /// Motion positions. Read-only during execution.
     motion_ids: HashMap<usize, MotionId>,
@@ -105,7 +110,7 @@ impl<'a> ExecContext<'a> {
             part_registry: Mutex::new(HashMap::new()),
             oid_params: Mutex::new(HashMap::new()),
             motion_cache: Mutex::new(HashMap::new()),
-            redist_hashes: Mutex::new(HashMap::new()),
+            redist_routes: Mutex::new(HashMap::new()),
             motion_ids: HashMap::new(),
             preroute: Mutex::new(HashMap::new()),
             per_motion_rows: Mutex::new(HashMap::new()),
@@ -203,20 +208,25 @@ impl<'a> ExecContext<'a> {
         self.motion_cache.lock().insert(id, per_source);
     }
 
-    /// Redistribute: distribution hashes for every chunk (in flattened
-    /// source order), computed once per Motion and shared by all
-    /// destination segments' routing passes.
-    pub(crate) fn redistribute_hashes(
+    /// Redistribute: every destination's selection per chunk, routed
+    /// once per Motion by the first reader and shared by the rest.
+    pub(crate) fn redistribute_routes(
         &self,
         id: MotionId,
-        build: impl FnOnce() -> Vec<Vec<u64>>,
-    ) -> Arc<Vec<Vec<u64>>> {
+        build: impl FnOnce() -> Routes,
+    ) -> Arc<Routes> {
         Arc::clone(
-            self.redist_hashes
+            self.redist_routes
                 .lock()
                 .entry(id)
                 .or_insert_with(|| Arc::new(build())),
         )
+    }
+
+    /// How many Motions have their routes cached.
+    #[cfg(test)]
+    pub(crate) fn routes_cached(&self) -> usize {
+        self.redist_routes.lock().len()
     }
 
     /// Store a pre-routed copy of a Gather's output for its first

@@ -167,8 +167,14 @@ fn gen_v(g: &mut StdRng) -> Val {
     // High NULL weight on purpose: nullable columns now keep their typed
     // representation (validity bitmaps), and the differential suites must
     // exercise the 3VL mask/agg/hash kernels, not just null-free lanes.
+    // About one value in ten is wide (±10^9 plus a small offset): keys
+    // that far apart push the executor's typed index off its
+    // direct-mapped form, while 60-row sums stay far from `i64` overflow.
     if g.gen_range(0u32..100) < 40 {
         Val::Null
+    } else if g.gen_range(0u32..10) == 0 {
+        let wide = if g.gen_range(0u32..2) == 0 { 1 } else { -1 } * 1_000_000_000;
+        Val::Int(wide + g.gen_range(-5i64..15))
     } else {
         Val::Int(g.gen_range(-5i64..15))
     }

@@ -431,6 +431,17 @@ fn assert_identical(
     Ok(())
 }
 
+/// Per-case key strides: keys `0..4` times 1 stay in the typed index's
+/// direct-mapped form, times 10^6 span past its bound (hashed from the
+/// second distinct key on), times 2^40 need `i64`.
+const STRIDES: [i64; 3] = [1, 1_000_000, 1 << 40];
+
+/// The stride of an `Int32` / `Date` key column: `stride` capped so that
+/// keys `0..4` stay in the `i32` range.
+fn i32_stride(stride: i64) -> i64 {
+    stride.min(i64::from(i32::MAX) / 3)
+}
+
 fn into_result(o: mppart::QueryOutcome) -> QueryResult {
     QueryResult {
         rows: o.rows,
@@ -478,6 +489,14 @@ mod agg_arm {
                 Kind::F64 => Datum::Float64(v as f64),
             }
         }
+
+        /// Group key `k` spread by `stride`.
+        fn key(self, k: i64, stride: i64) -> Datum {
+            match self {
+                Kind::I32 | Kind::Date => self.datum(k * i32_stride(stride)),
+                _ => self.datum(k * stride),
+            }
+        }
     }
 
     /// One row: `(k1, k2, x, f, z)`; `None` = NULL.
@@ -490,6 +509,8 @@ mod agg_arm {
         k2: Kind,
         x: Kind,
         rows: Vec<GenRow>,
+        /// The case's key stride (`STRIDES`).
+        stride: i64,
     }
 
     const HUGE: i64 = i64::MAX / 2 + 1;
@@ -524,7 +545,7 @@ mod agg_arm {
         /// chunk degrades a typed start, or a float lane follows an int
         /// lane); a quarter carry NULL keys, some a zero divisor (a
         /// row-fallback chunk, which errors) or sum-overflowing values.
-        fn decode(raw: &RawChunk, base: (usize, usize, usize)) -> Chunk {
+        fn decode(raw: &RawChunk, base: (usize, usize, usize), stride: i64) -> Chunk {
             let ((f1, f2, fx), (null_keys, zeros, huge), rows) = raw;
             let pick = |flip: usize, base: usize| INT_KINDS[if flip < 3 { flip } else { base }];
             let x = if *fx == 3 {
@@ -556,6 +577,7 @@ mod agg_arm {
                 k2: pick(*f2, base.1),
                 x,
                 rows,
+                stride,
             }
         }
 
@@ -564,8 +586,8 @@ mod agg_arm {
                 .iter()
                 .map(|&(k1, k2, x, f, z)| {
                     vec![
-                        k1.map_or(Datum::Null, |v| self.k1.datum(v)),
-                        self.k2.datum(k2),
+                        k1.map_or(Datum::Null, |v| self.k1.key(v, self.stride)),
+                        self.k2.key(k2, self.stride),
                         x.map_or(Datum::Null, |v| self.x.datum(v)),
                         f.map_or(Datum::Null, Datum::Float64),
                         Datum::Int32(z as i32),
@@ -642,13 +664,14 @@ mod agg_arm {
             picks in arb_calls(),
             n_keys in 0usize..3,
             segs in 1usize..4,
+            stride in 0usize..3,
         ) {
             // Leg 1: a hand-built `HashAgg(Append[Values..])`. Each
             // non-empty `Values` is one chunk on segment 0 in exactly the
             // generated column variants; every other segment aggregates
             // empty input (and an all-empty case puts the scalar default
             // row on segment 0 only).
-            let chunks: Vec<Chunk> = raw.iter().map(|r| Chunk::decode(r, base)).collect();
+            let chunks: Vec<Chunk> = raw.iter().map(|r| Chunk::decode(r, base, STRIDES[stride])).collect();
             let c = cols();
             let calls = agg_calls(&picks);
             let mut output: Vec<ColRef> = c[..n_keys].to_vec();
@@ -782,6 +805,8 @@ mod join_arm {
         k1: Kind,
         k2: Kind,
         rows: Vec<GenRow>,
+        /// The case's key stride (`STRIDES`).
+        stride: i64,
     }
 
     /// Raw draws (the vendored proptest has no weighted or dependent
@@ -803,9 +828,10 @@ mod join_arm {
         /// Chunks mostly arrive in the side's base integer variants (the
         /// typed path survives every chunk) and now and then in another
         /// kind: a nullable, float or `Any` chunk. Keys are drawn from
-        /// `0..4`, so build keys repeat and `0` (a NULL slot's dummy)
-        /// is common; a third of the chunks carry a zero divisor.
-        fn decode(raw: &RawChunk, base: (usize, usize)) -> Chunk {
+        /// `0..4` (times the case's stride), so build keys repeat and `0`
+        /// (a NULL slot's dummy) is common; a third of the chunks carry a
+        /// zero divisor.
+        fn decode(raw: &RawChunk, base: (usize, usize), stride: i64) -> Chunk {
             let ((f1, f2), zeros, rows) = raw;
             let pick =
                 |flip: usize, base: usize| KINDS.get(flip).copied().unwrap_or(INT_KINDS[base]);
@@ -824,7 +850,12 @@ mod join_arm {
                     half,
                 })
                 .collect();
-            Chunk { k1, k2, rows }
+            Chunk {
+                k1,
+                k2,
+                rows,
+                stride,
+            }
         }
 
         fn datums(&self) -> Vec<Vec<Datum>> {
@@ -832,12 +863,13 @@ mod join_arm {
                 let Some(k) = k else {
                     return Datum::Null;
                 };
+                let (k32, k) = (k * i32_stride(self.stride), k * self.stride);
                 match kind {
-                    Kind::I32 => Datum::Int32(k as i32),
+                    Kind::I32 => Datum::Int32(k32 as i32),
                     Kind::I64 | Kind::Nullable => Datum::Int64(k),
-                    Kind::Date => Datum::Date(k as i32),
+                    Kind::Date => Datum::Date(k32 as i32),
                     Kind::F64 => Datum::Float64(k as f64 + if half { 0.5 } else { 0.0 }),
-                    Kind::Any if i.is_multiple_of(2) => Datum::Int32(k as i32),
+                    Kind::Any if i.is_multiple_of(2) => Datum::Int32(k32 as i32),
                     Kind::Any => Datum::Int64(k),
                 }
             };
@@ -861,6 +893,7 @@ mod join_arm {
             let typed = Chunk {
                 k1,
                 k2,
+                stride: self.stride,
                 rows: self
                     .rows
                     .iter()
@@ -983,14 +1016,15 @@ mod join_arm {
             two_keys in any::<bool>(),
             res in 0u8..3,
             erroring in (0u8..4, 0u8..4),
-            segs in 1usize..4,
+            (segs, stride) in (1usize..4, 0usize..3),
         ) {
             // Leg 1: a hand-built `HashJoin(Append[Values..],
             // Append[Values..])`. Each non-empty `Values` is one chunk on
             // segment 0 in exactly the generated column variants; every
             // other segment joins empty input.
-            let l_chunks: Vec<Chunk> = raw_l.iter().map(|r| Chunk::decode(r, (base.0, base.1))).collect();
-            let r_chunks: Vec<Chunk> = raw_r.iter().map(|r| Chunk::decode(r, (base.2, base.3))).collect();
+            let stride = STRIDES[stride];
+            let l_chunks: Vec<Chunk> = raw_l.iter().map(|r| Chunk::decode(r, (base.0, base.1), stride)).collect();
+            let r_chunks: Vec<Chunk> = raw_r.iter().map(|r| Chunk::decode(r, (base.2, base.3), stride)).collect();
             let (lc, rc) = (side_cols(1, "l"), side_cols(11, "r"));
             let n_keys = if two_keys { 2 } else { 1 };
             let (l_err, r_err) = (erroring.0 == 0, erroring.1 == 0);
